@@ -59,16 +59,60 @@ RangeQuery NextQuery(Rng& rng) {
 // variant's b − a >= 2h precondition holds at every sample size.
 constexpr double kBenchBandwidth = 2000.0;
 
-void BM_KernelIndexed(benchmark::State& state) {
-  const auto sample = MakeSample(static_cast<size_t>(state.range(0)));
-  KernelEstimatorOptions options;
-  options.bandwidth = kBenchBandwidth;
-  auto est = KernelEstimator::Create(sample, kDomain, options);
-  Rng rng(1);
+// Single-query benches for the kernel and hybrid: times estimates on the
+// active tier, then answers the same 256 queries one at a time under the
+// scalar tier and under each vector tier this host supports, five rounds
+// with the tiers interleaved, keeping each tier's fastest round (a short
+// pass is easily disturbed on a shared host). `speedup_avx2_vs_scalar` and
+// `speedup_avx512_vs_scalar` are scalar time over vector time; a tier the
+// host lacks reports no counter.
+void SingleQueryBench(benchmark::State& state, const SelectivityEstimator& est,
+                      uint64_t seed) {
+  Rng rng(seed);
   for (auto _ : state) {
     const RangeQuery q = NextQuery(rng);
-    benchmark::DoNotOptimize(est->EstimateSelectivity(q.a, q.b));
+    benchmark::DoNotOptimize(est.EstimateSelectivity(q.a, q.b));
   }
+  std::vector<RangeQuery> queries(256);
+  for (RangeQuery& q : queries) q = NextQuery(rng);
+  std::vector<SimdTier> tiers = {SimdTier::kScalar};
+  for (const SimdTier tier : {SimdTier::kAvx2, SimdTier::kAvx512}) {
+    if (SimdTierSupported(tier)) tiers.push_back(tier);
+  }
+  std::vector<double> best(tiers.size(), 1e300);
+  for (int round = 0; round < 5; ++round) {
+    for (size_t t = 0; t < tiers.size(); ++t) {
+      ScopedSimdTier scoped(tiers[t]);
+      double acc = 0.0;
+      const auto t0 = std::chrono::steady_clock::now();
+      for (const RangeQuery& q : queries) {
+        acc += est.EstimateSelectivity(q.a, q.b);
+      }
+      const auto t1 = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(acc);
+      best[t] = std::min(best[t],
+                         std::chrono::duration<double>(t1 - t0).count());
+    }
+  }
+  for (size_t t = 1; t < tiers.size(); ++t) {
+    state.counters[std::string("speedup_") + SimdTierName(tiers[t]) +
+                   "_vs_scalar"] = best[t] > 0.0 ? best[0] / best[t] : 0.0;
+  }
+}
+
+KernelEstimator MakeKernel(const std::vector<double>& sample, double bandwidth,
+                           BoundaryPolicy boundary) {
+  KernelEstimatorOptions options;
+  options.bandwidth = bandwidth;
+  options.boundary = boundary;
+  return KernelEstimator::Create(sample, kDomain, options).value();
+}
+
+void BM_KernelIndexed(benchmark::State& state) {
+  const auto sample = MakeSample(static_cast<size_t>(state.range(0)));
+  SingleQueryBench(state,
+                   MakeKernel(sample, kBenchBandwidth, BoundaryPolicy::kNone),
+                   1);
 }
 BENCHMARK(BM_KernelIndexed)->Range(1 << 10, 1 << 20);
 
@@ -85,19 +129,51 @@ void BM_KernelAlgorithm1LinearScan(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelAlgorithm1LinearScan)->Range(1 << 10, 1 << 20);
 
+// BM_KernelBoundaryKernels differs from BM_KernelIndexed in two factors:
+// the bandwidth (normal scale rather than a fixed 2,000) and the boundary
+// policy. This row changes the bandwidth alone, so each factor has its own
+// row: Indexed → IndexedNormalScale is the bandwidth, IndexedNormalScale →
+// BoundaryKernels the boundary treatment.
+void BM_KernelIndexedNormalScale(benchmark::State& state) {
+  const auto sample = MakeSample(static_cast<size_t>(state.range(0)));
+  SingleQueryBench(state,
+                   MakeKernel(sample, NormalScaleBandwidth(sample, kDomain),
+                              BoundaryPolicy::kNone),
+                   7);
+}
+BENCHMARK(BM_KernelIndexedNormalScale)->Range(1 << 10, 1 << 18);
+
 void BM_KernelBoundaryKernels(benchmark::State& state) {
   const auto sample = MakeSample(static_cast<size_t>(state.range(0)));
-  KernelEstimatorOptions options;
-  options.bandwidth = NormalScaleBandwidth(sample, kDomain);
-  options.boundary = BoundaryPolicy::kBoundaryKernel;
-  auto est = KernelEstimator::Create(sample, kDomain, options);
-  Rng rng(3);
-  for (auto _ : state) {
-    const RangeQuery q = NextQuery(rng);
-    benchmark::DoNotOptimize(est->EstimateSelectivity(q.a, q.b));
-  }
+  SingleQueryBench(state,
+                   MakeKernel(sample, NormalScaleBandwidth(sample, kDomain),
+                              BoundaryPolicy::kBoundaryKernel),
+                   3);
 }
 BENCHMARK(BM_KernelBoundaryKernels)->Range(1 << 10, 1 << 18);
+
+// The hybrid (factory defaults: boundary-kernel cells) on the paper's
+// 2,000-record sample and on a 2^16 one. Builds are cached: the benchmark
+// body runs several times per row.
+void BM_HybridIndexed(benchmark::State& state) {
+  static auto* cache =
+      new std::map<int64_t, std::unique_ptr<SelectivityEstimator>>();
+  std::unique_ptr<SelectivityEstimator>& slot = (*cache)[state.range(0)];
+  if (slot == nullptr) {
+    EstimatorConfig config;
+    config.kind = EstimatorKind::kHybrid;
+    auto built = BuildEstimator(
+        MakeSample(static_cast<size_t>(state.range(0))), kDomain, config);
+    if (!built.ok()) {
+      std::fprintf(stderr, "hybrid build failed: %s\n",
+                   built.status().ToString().c_str());
+      std::exit(1);
+    }
+    slot = std::move(built).value();
+  }
+  SingleQueryBench(state, *slot, 8);
+}
+BENCHMARK(BM_HybridIndexed)->Arg(2000)->Arg(1 << 16);
 
 void BM_EquiWidthHistogram(benchmark::State& state) {
   const auto sample = MakeSample(2000);

@@ -60,9 +60,7 @@ void AverageShiftedHistogram::EstimateSelectivityBatch(
         }
         const double n = static_cast<double>(histograms_.size());
         for (int k = 0; k < ops->width; ++k) r[k] /= n;
-        return true;
-      },
-      per_query);
+      });
 }
 
 size_t AverageShiftedHistogram::StorageBytes() const {

@@ -7,6 +7,7 @@
 #include "src/est/estimator_snapshot.h"
 #include "src/util/check.h"
 #include "src/util/numeric.h"
+#include "src/util/simd.h"
 
 namespace selest {
 
@@ -119,9 +120,22 @@ double KernelEstimator::CdfSum(double a, double b) const {
   const Kernel& kernel = options_.kernel;
   const double* data = sorted_.data();
   const size_t n = sorted_.size();
+  // Vector tiers scan the Epanechnikov fringe several samples at a time,
+  // bit-identically; the scalar tier runs the reference loop below.
+  const SimdOps* ops =
+      kernel.type() == KernelType::kEpanechnikov ? ActiveSimdOps() : nullptr;
+  // Adds Cdf((b − x)/h) − Cdf((a − x)/h) over data[from, to) to `sum`.
+  const auto fringe = [&](size_t from, size_t to, double sum) {
+    if (ops != nullptr) {
+      return ops->kernel_fringe(data, from, to, a, b, h, sum);
+    }
+    for (size_t i = from; i != to; ++i) {
+      sum += kernel.Cdf((b - data[i]) / h) - kernel.Cdf((a - data[i]) / h);
+    }
+    return sum;
+  };
   double sum = 0.0;
-  // Branch-free searches: same indices as std::lower_bound/std::upper_bound
-  // and the structure the vector block kernel replays.
+  // Branch-free searches: same indices as std::lower_bound/std::upper_bound.
   if (a + radius <= b - radius) {
     // Samples in [a+radius, b−radius] contribute exactly 1 (the first case
     // of Alg. 1); count them with two binary searches.
@@ -130,21 +144,15 @@ double KernelEstimator::CdfSum(double a, double b) const {
     sum += static_cast<double>(full_hi - full_lo);
     // Left fringe: samples in [a−radius, a+radius).
     const size_t left_lo = BranchFreeLowerBound(data, n, a - radius);
-    for (size_t i = left_lo; i != full_lo; ++i) {
-      sum += kernel.Cdf((b - data[i]) / h) - kernel.Cdf((a - data[i]) / h);
-    }
+    sum = fringe(left_lo, full_lo, sum);
     // Right fringe: samples in (b−radius, b+radius].
     const size_t right_hi = BranchFreeUpperBound(data, n, b + radius);
-    for (size_t i = full_hi; i != right_hi; ++i) {
-      sum += kernel.Cdf((b - data[i]) / h) - kernel.Cdf((a - data[i]) / h);
-    }
+    sum = fringe(full_hi, right_hi, sum);
   } else {
     // Narrow query: the fringes overlap; scan every contributing sample.
     const size_t lo = BranchFreeLowerBound(data, n, a - radius);
     const size_t hi = BranchFreeUpperBound(data, n, b + radius);
-    for (size_t i = lo; i != hi; ++i) {
-      sum += kernel.Cdf((b - data[i]) / h) - kernel.Cdf((a - data[i]) / h);
-    }
+    sum = fringe(lo, hi, sum);
   }
   return sum / static_cast<double>(original_count_);
 }
@@ -174,49 +182,6 @@ double KernelEstimator::EstimateSelectivity(double a, double b) const {
   }
   total += right_strip_.Mass(a, b);
   return std::clamp(total, 0.0, 1.0);
-}
-
-KernelBlockArgs KernelEstimator::MakeSimdArgs() const {
-  KernelBlockArgs args;
-  args.sorted = sorted_.data();
-  args.sorted_size = static_cast<int64_t>(sorted_.size());
-  args.original_count = static_cast<double>(original_count_);
-  args.h = options_.bandwidth;
-  args.radius = options_.kernel.support_radius() * options_.bandwidth;
-  args.domain_lo = domain_.lo;
-  args.domain_hi = domain_.hi;
-  args.boundary_kernel = options_.boundary == BoundaryPolicy::kBoundaryKernel;
-  args.left_cum = left_strip_.cumulative.data();
-  args.left_size = static_cast<int64_t>(left_strip_.cumulative.size());
-  args.left_lo = left_strip_.lo;
-  args.left_hi = left_strip_.hi;
-  args.right_cum = right_strip_.cumulative.data();
-  args.right_size = static_cast<int64_t>(right_strip_.cumulative.size());
-  args.right_lo = right_strip_.lo;
-  args.right_hi = right_strip_.hi;
-  return args;
-}
-
-void KernelEstimator::EstimateSelectivityBatch(
-    std::span<const RangeQuery> queries, std::span<double> out) const {
-  SELEST_CHECK_EQ(queries.size(), out.size());
-  const auto per_query = [this](const RangeQuery& q) {
-    return KernelEstimator::EstimateSelectivity(q.a, q.b);
-  };
-  const SimdOps* ops = ActiveSimdOps();
-  // The vector kernel replays the Epanechnikov CDF only; other kernel
-  // shapes keep the scalar path.
-  if (ops == nullptr || options_.kernel.type() != KernelType::kEpanechnikov) {
-    BatchWith(queries, out, per_query);
-    return;
-  }
-  const KernelBlockArgs args = MakeSimdArgs();
-  BatchWithBlocks(
-      queries, out, ops->width,
-      [&args, ops](const double* a, const double* b, double* r) {
-        return ops->kernel_block(args, a, b, r) != 0;
-      },
-      per_query);
 }
 
 double KernelEstimator::EstimateSelectivityAlgorithm1(double a,
@@ -287,9 +252,17 @@ StatusOr<KernelEstimator> KernelEstimator::DeserializeState(
   SELEST_ASSIGN_OR_RETURN(options.kernel, ReadKernel(reader));
   SELEST_ASSIGN_OR_RETURN(options.boundary, ReadBoundaryPolicy(reader));
   SELEST_ASSIGN_OR_RETURN(const uint32_t quadrature, reader.ReadU32());
-  if (sorted.empty() || !std::is_sorted(sorted.begin(), sorted.end())) {
+  // Finite first: with a NaN in the strip std::is_sorted can report an
+  // unsorted strip as sorted, and the fringe scans assume finite, sorted
+  // samples.
+  const auto all_finite = [](const auto& values) {
+    return std::all_of(values.begin(), values.end(),
+                       [](double x) { return std::isfinite(x); });
+  };
+  if (sorted.empty() || !all_finite(sorted) ||
+      !std::is_sorted(sorted.begin(), sorted.end())) {
     return InvalidArgumentError(
-        "kernel snapshot samples must be non-empty and sorted");
+        "kernel snapshot samples must be non-empty, finite and sorted");
   }
   // Reflection adds at most two mirrored copies per original sample.
   if (original_count < 1 || original_count > sorted.size()) {
@@ -310,11 +283,9 @@ StatusOr<KernelEstimator> KernelEstimator::DeserializeState(
   for (StripTable* strip : {&estimator.left_strip_, &estimator.right_strip_}) {
     SELEST_ASSIGN_OR_RETURN(strip->lo, reader.ReadDouble());
     SELEST_ASSIGN_OR_RETURN(strip->hi, reader.ReadDouble());
-    SELEST_ASSIGN_OR_RETURN(std::vector<double> cumulative,
-                            reader.ReadDoubleVector());
-    strip->cumulative.assign(cumulative.begin(), cumulative.end());
+    SELEST_ASSIGN_OR_RETURN(strip->cumulative, reader.ReadDoubleVector());
     if (!std::isfinite(strip->lo) || !std::isfinite(strip->hi) ||
-        strip->lo > strip->hi ||
+        strip->lo > strip->hi || !all_finite(strip->cumulative) ||
         !std::is_sorted(strip->cumulative.begin(), strip->cumulative.end())) {
       return InvalidArgumentError(
           "kernel snapshot strip table is not a cumulative mass table");

@@ -50,8 +50,6 @@ class KernelEstimator : public SelectivityEstimator {
 
   // O(log n + k) estimate; the query is clamped to the domain first.
   double EstimateSelectivity(double a, double b) const override;
-  void EstimateSelectivityBatch(std::span<const RangeQuery> queries,
-                                std::span<double> out) const override;
 
   // Literal transcription of the paper's Algorithm 1: a Θ(n) scan with the
   // four-way case split. Requires b − a >= 2h (as the algorithm's interval
@@ -65,13 +63,6 @@ class KernelEstimator : public SelectivityEstimator {
   double bandwidth() const { return options_.bandwidth; }
   const KernelEstimatorOptions& options() const { return options_; }
   size_t sample_size() const { return original_count_; }
-
-  // Static inputs of the vectorized block kernel (util/simd.h): raw views
-  // into this estimator's SoA hot state (sorted sample strip, boundary
-  // strip tables). Valid only while this estimator is alive and unmoved —
-  // build per batch call, never store. Used here and by the hybrid
-  // estimator's per-cell batch dispatch.
-  KernelBlockArgs MakeSimdArgs() const;
 
   EstimatorTag SnapshotTypeTag() const override {
     return EstimatorTag::kKernel;
@@ -90,7 +81,7 @@ class KernelEstimator : public SelectivityEstimator {
   struct StripTable {
     double lo = 0.0;
     double hi = 0.0;
-    AlignedDoubles cumulative;  // cumulative[i] = mass of [lo, node_i]
+    std::vector<double> cumulative;  // cumulative[i] = mass of [lo, node_i]
 
     // Mass of [x1, x2] ∩ [lo, hi], by linear interpolation between nodes.
     double Mass(double x1, double x2) const;
@@ -109,7 +100,7 @@ class KernelEstimator : public SelectivityEstimator {
                                     int nodes);
 
   // Reflected copies included when reflecting. Contiguous 64-byte-aligned
-  // strip (SoA hot state for the vector batch kernels; DESIGN.md §12).
+  // strip, which the vector fringe scan loads directly (DESIGN.md §12).
   AlignedDoubles sorted_;
   size_t original_count_;
   Domain domain_;

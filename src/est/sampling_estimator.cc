@@ -40,14 +40,12 @@ void SamplingEstimator::EstimateSelectivityBatch(
     BatchWith(queries, out, per_query);
     return;
   }
-  BatchWithBlocks(
-      queries, out, ops->width,
-      [this, ops](const double* a, const double* b, double* r) {
-        ops->sorted_count_block(sorted_.data(),
-                                static_cast<int64_t>(sorted_.size()), a, b, r);
-        return true;
-      },
-      per_query);
+  BatchWithBlocks(queries, out, ops->width,
+                  [this, ops](const double* a, const double* b, double* r) {
+                    ops->sorted_count_block(
+                        sorted_.data(), static_cast<int64_t>(sorted_.size()),
+                        a, b, r);
+                  });
 }
 
 size_t SamplingEstimator::StorageBytes() const {

@@ -156,20 +156,17 @@ class SelectivityEstimator {
 
   // Vector-tier body: fans chunks across the pool like BatchWith, but each
   // chunk is processed `width` queries at a time through `block(a, b, r)`
-  // (width-long kSimdAlign-aligned arrays; returns false to decline). A
-  // declined block — and any queries a partial tail cannot pad — falls back
-  // to `per_query`, so every out[i] is the scalar value regardless of which
-  // path computed it. Partial tails are padded by replicating their last
-  // query: block lanes are independent, so padding never perturbs a real
-  // lane.
-  template <typename BlockFn, typename PerQuery>
+  // (width-long kSimdAlign-aligned arrays). Partial tails are padded by
+  // replicating their last query: block lanes are independent, so padding
+  // never perturbs a real lane.
+  template <typename BlockFn>
   static void BatchWithBlocks(std::span<const RangeQuery> queries,
-                              std::span<double> out, int width, BlockFn&& block,
-                              PerQuery&& per_query) {
+                              std::span<double> out, int width,
+                              BlockFn&& block) {
     ThreadPool& pool = ThreadPool::Default();
     ParallelFor(&pool, queries.size(), 4 * pool.num_threads(),
-                [&queries, &out, &block, &per_query, width](
-                    size_t begin, size_t end, size_t /*chunk*/) {
+                [&queries, &out, &block, width](size_t begin, size_t end,
+                                                size_t /*chunk*/) {
                   alignas(kSimdAlign) double a[kMaxSimdWidth];
                   alignas(kSimdAlign) double b[kMaxSimdWidth];
                   alignas(kSimdAlign) double r[kMaxSimdWidth];
@@ -184,13 +181,8 @@ class SelectivityEstimator {
                       a[k] = a[m - 1];
                       b[k] = b[m - 1];
                     }
-                    if (block(a, b, r)) {
-                      for (size_t k = 0; k < m; ++k) out[i + k] = r[k];
-                    } else {
-                      for (size_t k = 0; k < m; ++k) {
-                        out[i + k] = per_query(queries[i + k]);
-                      }
-                    }
+                    block(a, b, r);
+                    for (size_t k = 0; k < m; ++k) out[i + k] = r[k];
                   }
                 });
   }
@@ -211,13 +203,10 @@ class SelectivityEstimator {
       BatchWith(queries, out, per_query);
       return;
     }
-    BatchWithBlocks(
-        queries, out, ops->width,
-        [&bins, ops](const double* a, const double* b, double* r) {
-          bins.SelectivityBlock(*ops, a, b, r);
-          return true;
-        },
-        per_query);
+    BatchWithBlocks(queries, out, ops->width,
+                    [&bins, ops](const double* a, const double* b, double* r) {
+                      bins.SelectivityBlock(*ops, a, b, r);
+                    });
   }
 };
 

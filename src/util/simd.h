@@ -1,5 +1,5 @@
-// Portable SIMD shim: runtime-dispatched batch kernels for the estimator
-// hot paths (ROADMAP item 2, DESIGN.md §12).
+// Portable SIMD shim: runtime-dispatched vector kernels for the estimator
+// hot paths (DESIGN.md §12).
 //
 // One binary serves any host: the vector kernels are compiled into
 // per-ISA translation units (util/simd_avx2.cc at 4 lanes,
@@ -10,14 +10,18 @@
 // semantics.
 //
 // Exactness policy (tested by est_simd_identity_test): every vector
-// kernel is *bit-identical* to the scalar path. The kernels batch one
-// query per SIMD lane and replay the scalar code's floating-point
-// operations in the same order within each lane; data-dependent scalar
-// branches become lane blends whose discarded side never feeds the
-// accumulator (x + 0.0 == x for the non-negative finite partial sums
-// involved). The per-ISA TUs are compiled with -ffp-contract=off so no
-// tier ever fuses a multiply-add the baseline scalar build would not.
-// kSimdUlpTolerance documents the contract and is asserted at 0.
+// kernel is *bit-identical* to the scalar path. Two layouts are used. The
+// histogram and sorted-count kernels batch one query per SIMD lane and
+// replay the scalar code's floating-point operations in the same order
+// within each lane; data-dependent scalar branches become lane blends
+// whose discarded side never feeds the accumulator (x + 0.0 == x for the
+// non-negative finite partial sums involved). The kernel fringe scan
+// serves one query with one sample per lane: it computes each sample's
+// contribution exactly as the scalar expression does, then adds the lanes
+// to the running sum one by one in index order. The per-ISA TUs are
+// compiled with -ffp-contract=off so no tier ever fuses a multiply-add the
+// baseline scalar build would not. kSimdUlpTolerance documents the
+// contract and is asserted at 0.
 #ifndef SELEST_UTIL_SIMD_H_
 #define SELEST_UTIL_SIMD_H_
 
@@ -28,7 +32,7 @@
 
 namespace selest {
 
-// The batch kernels are exact, not merely close: the identity suite
+// The vector kernels are exact, not merely close: the identity suite
 // compares them to the scalar path with EXPECT_EQ, i.e. a 0-ULP bound.
 inline constexpr int kSimdUlpTolerance = 0;
 
@@ -123,33 +127,9 @@ inline size_t BranchFreeUpperBound(const double* data, size_t n, double key) {
 // Widest tier; block staging buffers are sized for it.
 inline constexpr int kMaxSimdWidth = 8;
 
-// Static (per-estimator) inputs of the kernel-estimator block kernel: the
-// sorted sample strip plus the boundary strip tables, passed as raw
-// pointers so the per-ISA TUs need no estimator headers. Built per batch
-// call by KernelEstimator::MakeSimdArgs(), so there are never stored
-// cross-object pointers to keep valid.
-struct KernelBlockArgs {
-  const double* sorted = nullptr;  // reflected-sorted sample strip
-  int64_t sorted_size = 0;
-  double original_count = 0.0;  // the CdfSum divisor
-  double h = 0.0;               // bandwidth
-  double radius = 0.0;          // kernel support radius × h
-  double domain_lo = 0.0;
-  double domain_hi = 0.0;
-  bool boundary_kernel = false;  // use the strip tables below
-  const double* left_cum = nullptr;
-  int64_t left_size = 0;
-  double left_lo = 0.0;
-  double left_hi = 0.0;
-  const double* right_cum = nullptr;
-  int64_t right_size = 0;
-  double right_lo = 0.0;
-  double right_hi = 0.0;
-};
-
-// One table per vector tier. Every function processes exactly `width`
-// queries (a/b/out are width-long, kSimdAlign-aligned); callers pad the
-// final partial block by replicating its last query — lanes are
+// One table per vector tier. The *_block functions process exactly
+// `width` queries (a/b/out are width-long, kSimdAlign-aligned); callers
+// pad the final partial block by replicating its last query — lanes are
 // independent, so padding never changes a real lane's bits.
 struct SimdOps {
   int width = 0;
@@ -166,13 +146,15 @@ struct SimdOps {
   void (*sorted_count_block)(const double* sorted, int64_t n, const double* a,
                              const double* b, double* out);
 
-  // KernelEstimator::EstimateSelectivity (Epanechnikov) for one block.
-  // Returns 1 when the block was handled, 0 when the caller must fall
-  // back to its scalar path (lanes disagree on the wide/narrow CdfSum
-  // case split or on boundary-strip coverage, or a bound is non-finite) —
-  // the blend trick needs every lane on the same scalar control path.
-  int (*kernel_block)(const KernelBlockArgs& args, const double* a,
-                      const double* b, double* out);
+  // KernelEstimator::CdfSum's fringe scan for ONE query (Epanechnikov):
+  // returns `sum` plus Cdf((b − x)/h) − Cdf((a − x)/h) for every x in
+  // sorted[from, to). The samples are loaded `width` at a time and their
+  // contributions computed as one vector, then added to `sum` one at a
+  // time in index order — the scalar loop's association, so the result is
+  // bit-identical to it. `from` need not be aligned; from >= to adds
+  // nothing.
+  double (*kernel_fringe)(const double* sorted, size_t from, size_t to,
+                          double a, double b, double h, double sum);
 };
 
 // ---------------------------------------------------------------------------
@@ -190,7 +172,7 @@ const char* SimdTierName(SimdTier tier);
 // True when this host can execute `tier` (kScalar is always supported).
 bool SimdTierSupported(SimdTier tier);
 
-// The tier batch paths use right now: the best supported tier, capped by
+// The tier the vector paths use right now: the best supported tier, capped by
 // the SELEST_SIMD environment variable ("scalar", "avx2", "avx512";
 // detected once) and by any active ScopedSimdTier override.
 SimdTier ActiveSimdTier();
@@ -203,9 +185,9 @@ const SimdOps* ActiveSimdOps();
 // tier); used by the identity tests and the speedup benches.
 const SimdOps* SimdOpsForTier(SimdTier tier);
 
-// Scoped tier override for tests and benchmarks. Takes effect for batch
-// calls issued after construction (including work those calls fan out to
-// pool threads); do not change tiers while a batch is in flight.
+// Scoped tier override for tests and benchmarks. Takes effect for estimate
+// calls issued after construction (including work batch calls fan out to
+// pool threads); do not change tiers while a call is in flight.
 // Requires SimdTierSupported(tier).
 class ScopedSimdTier {
  public:

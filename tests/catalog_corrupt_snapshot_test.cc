@@ -5,7 +5,9 @@
 // the `robustness` and `catalog` labels.
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <filesystem>
@@ -18,6 +20,7 @@
 #include "src/data/domain.h"
 #include "src/est/estimator_factory.h"
 #include "src/est/estimator_snapshot.h"
+#include "src/est/kernel_estimator.h"
 #include "src/util/random.h"
 #include "src/util/serialize.h"
 
@@ -33,6 +36,13 @@ std::string FreshDir(const std::string& name) {
       testing::TempDir() + name + "_" + std::to_string(::getpid());
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+// Default catalog options with a snapshot directory.
+CatalogOptions InDirectory(const std::string& dir) {
+  CatalogOptions options;
+  options.snapshot_directory = dir;
+  return options;
 }
 
 std::vector<double> MakeSample(size_t n, const Domain& domain,
@@ -160,6 +170,102 @@ TEST(CorruptSnapshotTest, EveryEstimatorKindSurvivesPayloadFlips) {
   }
 }
 
+// A kernel payload in KernelEstimator::SerializeState's layout over [0, 1]:
+// h = 0.1, no boundary treatment, `sorted` as the sample strip and
+// `left_strip` as the left strip table's nodes.
+void WriteKernelPayload(ByteWriter& writer, const std::vector<double>& sorted,
+                        const std::vector<double>& left_strip = {}) {
+  writer.WriteDoubleVector(sorted);
+  writer.WriteU64(sorted.size());
+  WriteDomain(writer, ContinuousDomain(0.0, 1.0));
+  writer.WriteDouble(0.1);
+  WriteKernel(writer, Kernel(KernelType::kEpanechnikov));
+  WriteBoundaryPolicy(writer, BoundaryPolicy::kNone);
+  writer.WriteU32(64);
+  writer.WriteDouble(0.0);  // left strip [0, 0.1]
+  writer.WriteDouble(0.1);
+  writer.WriteDoubleVector(left_strip);
+  writer.WriteDouble(0.9);  // right strip [0.9, 1], no nodes
+  writer.WriteDouble(1.0);
+  writer.WriteDoubleVector(std::vector<double>{});
+}
+
+// The kernel record alone, as a checksummed snapshot.
+std::vector<uint8_t> KernelSnapshot(const std::vector<double>& sorted,
+                                    const std::vector<double>& left_strip) {
+  ByteWriter writer;
+  writer.WriteU32(static_cast<uint32_t>(EstimatorTag::kKernel));
+  WriteKernelPayload(writer, sorted, left_strip);
+  return WrapSnapshot(static_cast<uint32_t>(EstimatorTag::kKernel),
+                      writer.bytes());
+}
+
+// The same kernel record as the only cell of a hybrid over [0, 1].
+std::vector<uint8_t> HybridSnapshot(const std::vector<double>& sorted,
+                                    const std::vector<double>& left_strip) {
+  ByteWriter writer;
+  writer.WriteU32(static_cast<uint32_t>(EstimatorTag::kHybrid));
+  writer.WriteDoubleVector(std::vector<double>{0.0, 1.0});
+  writer.WriteU32(1);
+  WriteDomain(writer, ContinuousDomain(0.0, 1.0));
+  writer.WriteDouble(1.0);
+  WriteKernelPayload(writer, sorted, left_strip);
+  return WrapSnapshot(static_cast<uint32_t>(EstimatorTag::kHybrid),
+                      writer.bytes());
+}
+
+TEST(CorruptSnapshotTest, KernelPayloadCraftingDecodes) {
+  // Control for the damage cases below: the crafted layout is valid.
+  const std::vector<double> sorted = {0.05, 0.1, 0.3, 0.7};
+  const std::vector<double> strip = {0.0, 0.25, 0.5};
+  ByteWriter writer;
+  WriteKernelPayload(writer, sorted, strip);
+  ByteReader reader(writer.TakeBytes());
+  auto direct = KernelEstimator::DeserializeState(reader);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_TRUE(LoadEstimatorSnapshot(KernelSnapshot(sorted, strip)).ok());
+  EXPECT_TRUE(LoadEstimatorSnapshot(HybridSnapshot(sorted, strip)).ok());
+}
+
+// std::is_sorted compares with <, which is false against NaN, so a strip
+// like {0.1, NaN, 0.05, 0.7} passes it; before finiteness was checked this
+// decoded and EstimateSelectivity(0, 0.2) answered 0.75. Non-finite samples
+// and strip-table nodes are kInvalidArgument (DESIGN.md §8), directly and
+// through a hybrid cell.
+TEST(CorruptSnapshotTest, NonFiniteKernelSamplesAndStripNodesAreRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> good_sorted = {0.05, 0.1, 0.3, 0.7};
+  const std::vector<double> good_strip = {0.0, 0.25, 0.5};
+  const std::vector<std::pair<std::vector<double>, std::vector<double>>>
+      damaged = {
+          {{0.1, nan, 0.05, 0.7}, good_strip},
+          {{nan, 0.1, 0.3, 0.7}, good_strip},
+          {{0.05, 0.1, 0.3, inf}, good_strip},
+          {{-inf, 0.1, 0.3, 0.7}, good_strip},
+          {good_sorted, {0.0, nan, 0.5}},
+          {good_sorted, {0.0, 0.25, inf}},
+      };
+  for (const auto& [sorted, strip] : damaged) {
+    ByteWriter writer;
+    WriteKernelPayload(writer, sorted, strip);
+    ByteReader reader(writer.TakeBytes());
+    auto direct = KernelEstimator::DeserializeState(reader);
+    ASSERT_FALSE(direct.ok());
+    EXPECT_EQ(direct.status().code(), StatusCode::kInvalidArgument)
+        << direct.status().ToString();
+    EXPECT_EQ(LoadEstimatorSnapshot(KernelSnapshot(sorted, strip))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(LoadEstimatorSnapshot(HybridSnapshot(sorted, strip))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(CorruptSnapshotTest, CatalogRebuildsThroughCorruptSnapshot) {
   const std::string dir = FreshDir("selest_corrupt_catalog");
   const Domain domain = BitDomain(12);
@@ -170,7 +276,7 @@ TEST(CorruptSnapshotTest, CatalogRebuildsThroughCorruptSnapshot) {
   CatalogKey key;
   {
     // First catalog: cold build, write-back.
-    Catalog catalog(CatalogOptions{dir});
+    Catalog catalog(InDirectory(dir));
     auto registered =
         catalog.RegisterColumn("orders", "amount", domain, sample, config);
     ASSERT_TRUE(registered.ok());
@@ -183,7 +289,7 @@ TEST(CorruptSnapshotTest, CatalogRebuildsThroughCorruptSnapshot) {
   // Damage the snapshot file in place: flip a payload byte.
   std::string path;
   {
-    Catalog catalog(CatalogOptions{dir});
+    Catalog catalog(InDirectory(dir));
     auto registered =
         catalog.RegisterColumn("orders", "amount", domain, sample, config);
     ASSERT_TRUE(registered.ok());
@@ -198,7 +304,7 @@ TEST(CorruptSnapshotTest, CatalogRebuildsThroughCorruptSnapshot) {
 
   // Second catalog: the corrupt snapshot is counted, the estimate is
   // served from a rebuild, and the repaired snapshot is written back.
-  Catalog catalog(CatalogOptions{dir});
+  Catalog catalog(InDirectory(dir));
   auto registered =
       catalog.RegisterColumn("orders", "amount", domain, sample, config);
   ASSERT_TRUE(registered.ok());
@@ -211,7 +317,7 @@ TEST(CorruptSnapshotTest, CatalogRebuildsThroughCorruptSnapshot) {
   EXPECT_EQ(stats.snapshot_loads, 0u);
 
   // The write-back repaired the file: a third catalog loads it cleanly.
-  Catalog repaired(CatalogOptions{dir});
+  Catalog repaired(InDirectory(dir));
   auto reregistered =
       repaired.RegisterColumn("orders", "amount", domain, sample, config);
   ASSERT_TRUE(reregistered.ok());
@@ -226,7 +332,7 @@ TEST(CorruptSnapshotTest, CatalogRebuildsThroughTruncatedFile) {
   const std::vector<double> sample = MakeSample(256, domain, 21);
   EstimatorConfig config;  // default equi-width
 
-  Catalog warm(CatalogOptions{dir});
+  Catalog warm(InDirectory(dir));
   auto key = warm.RegisterColumn("t", "x", domain, sample, config);
   ASSERT_TRUE(key.ok());
   ASSERT_TRUE(warm.Warm(key.value()).ok());
@@ -237,7 +343,7 @@ TEST(CorruptSnapshotTest, CatalogRebuildsThroughTruncatedFile) {
   bytes.value().resize(bytes.value().size() / 3);
   ASSERT_TRUE(WriteBytesToFile(path, bytes.value()).ok());
 
-  Catalog catalog(CatalogOptions{dir});
+  Catalog catalog(InDirectory(dir));
   auto reregistered = catalog.RegisterColumn("t", "x", domain, sample, config);
   ASSERT_TRUE(reregistered.ok());
   ASSERT_TRUE(catalog.Estimate("t", "x", RangeQuery{1.0, 100.0}).ok());
@@ -249,7 +355,7 @@ TEST(CorruptSnapshotTest, MissingSnapshotIsARebuildNotAnError) {
   const std::string dir = FreshDir("selest_missing_catalog");
   const Domain domain = BitDomain(10);
   const std::vector<double> sample = MakeSample(256, domain, 31);
-  Catalog catalog(CatalogOptions{dir});
+  Catalog catalog(InDirectory(dir));
   auto key =
       catalog.RegisterColumn("t", "x", domain, sample, EstimatorConfig{});
   ASSERT_TRUE(key.ok());

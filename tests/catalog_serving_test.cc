@@ -36,6 +36,13 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
+// Default catalog options with a snapshot directory.
+CatalogOptions InDirectory(const std::string& dir) {
+  CatalogOptions options;
+  options.snapshot_directory = dir;
+  return options;
+}
+
 std::vector<double> MakeSample(size_t n, const Domain& domain,
                                uint64_t seed) {
   Rng rng(seed);
@@ -141,7 +148,7 @@ TEST(CatalogServingTest, SecondCatalogServesFromSnapshotsNotRebuilds) {
   std::vector<CatalogKey> keys;
   std::vector<double> cold_estimates;
   {
-    Catalog cold(CatalogOptions{dir});
+    Catalog cold(InDirectory(dir));
     for (const EstimatorConfig& config : configs) {
       auto key = cold.RegisterColumn("orders", "total", domain, sample, config);
       ASSERT_TRUE(key.ok());
@@ -157,7 +164,7 @@ TEST(CatalogServingTest, SecondCatalogServesFromSnapshotsNotRebuilds) {
     }
   }
 
-  Catalog warm(CatalogOptions{dir});
+  Catalog warm(InDirectory(dir));
   for (const EstimatorConfig& config : configs) {
     ASSERT_TRUE(
         warm.RegisterColumn("orders", "total", domain, sample, config).ok());
@@ -247,7 +254,7 @@ TEST(CatalogServingTest, ServedSweepMatchesParallelSweepBitForBit) {
   const auto direct = RunConfigsParallel(setup, configs);
 
   const std::string dir = FreshDir("selest_served_sweep");
-  Catalog catalog(CatalogOptions{dir});
+  Catalog catalog(InDirectory(dir));
   // Twice through the catalog: the first pass serves cold rebuilds, the
   // second serves cache hits (and disk snapshots through a fresh catalog
   // below) — all three paths must agree bit for bit.
@@ -269,7 +276,7 @@ TEST(CatalogServingTest, ServedSweepMatchesParallelSweepBitForBit) {
   }
   EXPECT_EQ(catalog.serve_stats().rebuilds, configs.size());
 
-  Catalog snapshot_served(CatalogOptions{dir});
+  Catalog snapshot_served(InDirectory(dir));
   const auto from_disk =
       RunConfigsServed(snapshot_served, "sweep", "v", setup, configs);
   for (size_t i = 0; i < from_disk.size(); ++i) {

@@ -35,6 +35,13 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
+// Default catalog options with a snapshot directory.
+CatalogOptions InDirectory(const std::string& dir) {
+  CatalogOptions options;
+  options.snapshot_directory = dir;
+  return options;
+}
+
 // A sample that concentrates on [0, 25] — the "stale" world. Feedback will
 // teach the estimator that the data has since moved to [75, 100].
 std::vector<double> StaleSample(size_t n, uint64_t seed) {
@@ -129,7 +136,7 @@ TEST(FeedbackWritebackTest, LearnedStatePersistsAcrossCatalogRestart) {
   const RangeQuery moved{75.0, 100.0};
   CatalogKey key;
   {
-    Catalog catalog(CatalogOptions{dir});
+    Catalog catalog(InDirectory(dir));
     auto registered = catalog.RegisterColumn("orders", "amount", kDomain,
                                              StaleSample(500, 5), config);
     ASSERT_TRUE(registered.ok());
@@ -142,7 +149,7 @@ TEST(FeedbackWritebackTest, LearnedStatePersistsAcrossCatalogRestart) {
   }
   // A fresh catalog over the same durable tier serves the learned state —
   // NOT a rebuild from the stale sample.
-  Catalog reopened(CatalogOptions{dir});
+  Catalog reopened(InDirectory(dir));
   ASSERT_TRUE(reopened
                   .RegisterColumn("orders", "amount", kDomain,
                                   StaleSample(500, 5), config)

@@ -6,16 +6,21 @@
 //   * AlignedVector storage really is kSimdAlign-aligned;
 //   * tier detection, the SELEST_SIMD-independent tier tables, and the
 //     ScopedSimdTier override stack behave as documented;
+//   * the kernel_fringe op is bit-identical to the scalar fringe loop;
 //   * the exactness policy constant is pinned at 0 ULP.
 #include "src/util/simd.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/density/kernel.h"
 #include "src/util/random.h"
 
 namespace selest {
@@ -134,11 +139,87 @@ TEST(SimdDispatchTest, VectorTiersHaveDocumentedWidths) {
     EXPECT_EQ(avx2->width, 4);
     EXPECT_NE(avx2->histogram_block, nullptr);
     EXPECT_NE(avx2->sorted_count_block, nullptr);
-    EXPECT_NE(avx2->kernel_block, nullptr);
+    EXPECT_NE(avx2->kernel_fringe, nullptr);
   }
   if (const SimdOps* avx512 = SimdOpsForTier(SimdTier::kAvx512)) {
     EXPECT_EQ(avx512->width, 8);
     EXPECT_LE(avx512->width, kMaxSimdWidth);
+    EXPECT_NE(avx512->histogram_block, nullptr);
+    EXPECT_NE(avx512->sorted_count_block, nullptr);
+    EXPECT_NE(avx512->kernel_fringe, nullptr);
+  }
+}
+
+// The scalar reference loop of KernelEstimator::CdfSum (Epanechnikov).
+double ScalarFringe(const std::vector<double>& sorted, size_t from, size_t to,
+                    double a, double b, double h, double sum) {
+  const Kernel kernel(KernelType::kEpanechnikov);
+  for (size_t i = from; i != to; ++i) {
+    sum += kernel.Cdf((b - sorted[i]) / h) - kernel.Cdf((a - sorted[i]) / h);
+  }
+  return sum;
+}
+
+// kernel_fringe against the scalar loop, bit for bit: random sorted strips,
+// every `from` phase (unaligned loads), every tail length, queries wide and
+// narrow against h, and a starting sum that is not zero.
+TEST(KernelFringeTest, BitIdenticalToScalarLoopOnRandomStrips) {
+  Rng rng(17);
+  for (const SimdTier tier : {SimdTier::kAvx2, SimdTier::kAvx512}) {
+    const SimdOps* ops = SimdOpsForTier(tier);
+    if (ops == nullptr) continue;
+    for (int trial = 0; trial < 200; ++trial) {
+      const size_t n = 1 + static_cast<size_t>(rng.NextDouble() * 90);
+      std::vector<double> sorted(n);
+      for (double& v : sorted) v = 100.0 * rng.NextDouble();
+      std::sort(sorted.begin(), sorted.end());
+      const double h = 0.5 + 20.0 * rng.NextDouble();
+      const double x = 110.0 * rng.NextDouble() - 5.0;
+      const double y = 110.0 * rng.NextDouble() - 5.0;
+      const double a = std::min(x, y);
+      const double b = trial % 3 == 0 ? a + 0.1 * h : std::max(x, y);
+      const double start =
+          trial % 2 == 0 ? 0.0 : std::floor(rng.NextDouble() * 50);
+      for (size_t from = 0; from < std::min<size_t>(n, 9); ++from) {
+        for (size_t to = from; to <= n; to += 1 + (to - from) / 4) {
+          const double want = ScalarFringe(sorted, from, to, a, b, h, start);
+          const double got =
+              ops->kernel_fringe(sorted.data(), from, to, a, b, h, start);
+          ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+              << SimdTierName(tier) << " n=" << n << " [" << from << ", "
+              << to << ") a=" << a << " b=" << b << " h=" << h;
+        }
+      }
+    }
+  }
+}
+
+// The one-sided skips at their edges: b − x == h exactly (the quotient is
+// exactly 1), a − x == −h exactly, blocks mixing skip-eligible and
+// ineligible lanes, and NaN bounds, which must take the full path and
+// reproduce the scalar NaN.
+TEST(KernelFringeTest, SkipEdgesAndNanBoundsMatchScalar) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double h = 2.0;
+  std::vector<double> sorted;
+  for (int i = 0; i < 40; ++i) sorted.push_back(0.25 * i);  // exact grid
+  for (const SimdTier tier : {SimdTier::kAvx2, SimdTier::kAvx512}) {
+    const SimdOps* ops = SimdOpsForTier(tier);
+    if (ops == nullptr) continue;
+    for (const auto& [a, b] : std::vector<std::pair<double, double>>{
+             {0.0, 6.0}, {2.0, 4.0}, {1.0, 5.0}, {3.0, 3.5}, {-2.0, 12.0},
+             {nan, 4.0}, {2.0, nan}, {nan, nan}}) {
+      for (size_t from = 0; from < 8; ++from) {
+        for (size_t to = from; to <= sorted.size(); ++to) {
+          const double want = ScalarFringe(sorted, from, to, a, b, h, 3.0);
+          const double got =
+              ops->kernel_fringe(sorted.data(), from, to, a, b, h, 3.0);
+          ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+              << SimdTierName(tier) << " [" << from << ", " << to
+              << ") a=" << a << " b=" << b;
+        }
+      }
+    }
   }
 }
 
