@@ -45,14 +45,15 @@ inline double MustMre(const ExperimentSetup& setup,
   return report->mean_relative_error;
 }
 
-// Runs a whole config sweep through the parallel runner and returns the
-// MREs in config order, aborting on any build failure. Bit-identical to
-// calling MustMre per config, at any thread count.
+// Runs a whole config sweep (parallel builds, exact counts once, one
+// scoring fan-out per config) and returns the MREs in config order,
+// aborting on any build failure. Bit-identical to calling MustMre per
+// config, at any thread count.
 inline std::vector<double> MustMres(const ExperimentSetup& setup,
                                     std::span<const EstimatorConfig> configs) {
   std::vector<double> mres;
   mres.reserve(configs.size());
-  const auto reports = RunConfigsParallel(setup, configs);
+  const auto reports = RunSweep(setup, BuildEstimators(setup, configs));
   for (size_t c = 0; c < reports.size(); ++c) {
     if (!reports[c].ok()) {
       std::fprintf(stderr, "estimator %s failed: %s\n",

@@ -449,8 +449,8 @@ BENCHMARK(BM_BatchHybrid)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 // One full sweep = the four headline configs of Fig. 12 (equi-width h-NS,
 // kernel h-DPI2 with boundary kernels, hybrid, ASH-10) built from the
 // standard 2,000-record sample and scored on the 1,000-query file of one
-// headline data file — builds and evaluation both included, exactly what
-// RunConfigsParallel fans out.
+// headline data file — builds and evaluation both included: the plain-build
+// source fanned out across configs, then the sweep.
 
 struct Fig12Workload {
   Dataset data;
@@ -461,6 +461,13 @@ struct Fig12Workload {
     setup = MakeSetup(data, protocol);
   }
 };
+
+std::vector<StatusOr<ErrorReport>> RunFig12Sweep(
+    const Fig12Workload& workload, const ParallelExecOptions& options) {
+  return RunSweep(workload.setup,
+                  BuildEstimators(workload.setup, workload.configs, options),
+                  options);
+}
 
 const Fig12Workload& GetFig12Workload() {
   static const Fig12Workload* workload = [] {
@@ -505,10 +512,9 @@ struct SerialBaseline {
 const SerialBaseline& GetSerialBaseline() {
   static const SerialBaseline* baseline = [] {
     const Fig12Workload& workload = GetFig12Workload();
-    ParallelExecOptions serial;
-    serial.threads = 1;
+    const ParallelExecOptions serial{1};
     // Warm-up run sorts the ground-truth cache and faults in the sample.
-    auto warm = RunConfigsParallel(workload.setup, workload.configs, serial);
+    auto warm = RunFig12Sweep(workload, serial);
     auto* out = new SerialBaseline();
     for (const auto& report : warm) {
       if (!report.ok()) {
@@ -521,8 +527,7 @@ const SerialBaseline& GetSerialBaseline() {
     constexpr int kReps = 3;
     const auto start = std::chrono::steady_clock::now();
     for (int rep = 0; rep < kReps; ++rep) {
-      auto reports =
-          RunConfigsParallel(workload.setup, workload.configs, serial);
+      auto reports = RunFig12Sweep(workload, serial);
       benchmark::DoNotOptimize(reports);
     }
     const std::chrono::duration<double> elapsed =
@@ -544,8 +549,7 @@ void BM_Fig12SweepWallClock(benchmark::State& state) {
   bool identical = true;
   for (auto _ : state) {
     const auto start = std::chrono::steady_clock::now();
-    auto reports =
-        RunConfigsParallel(workload.setup, workload.configs, options);
+    auto reports = RunFig12Sweep(workload, options);
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
     seconds += elapsed.count();

@@ -106,9 +106,10 @@ StatusOr<AdaptiveKernelEstimator> AdaptiveKernelEstimator::DeserializeState(
   SELEST_ASSIGN_OR_RETURN(const double base_bandwidth, reader.ReadDouble());
   SELEST_ASSIGN_OR_RETURN(const Domain domain, ReadDomain(reader));
   SELEST_ASSIGN_OR_RETURN(const Kernel kernel, ReadKernel(reader));
-  if (sorted.empty() || !std::is_sorted(sorted.begin(), sorted.end())) {
+  if (sorted.empty() || !IsFiniteAndSorted(sorted)) {
     return InvalidArgumentError(
-        "adaptive kernel snapshot samples must be non-empty and sorted");
+        "adaptive kernel snapshot samples must be non-empty, finite and "
+        "sorted");
   }
   if (bandwidths.size() != sorted.size()) {
     return InvalidArgumentError(

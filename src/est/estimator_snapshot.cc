@@ -1,5 +1,6 @@
 #include "src/est/estimator_snapshot.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -44,6 +45,12 @@ StatusOr<Domain> ReadDomain(ByteReader& reader) {
   domain.discrete = discrete != 0;
   domain.bits = static_cast<int>(bits);
   return domain;
+}
+
+bool IsFiniteAndSorted(std::span<const double> values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](double x) { return std::isfinite(x); }) &&
+         std::is_sorted(values.begin(), values.end());
 }
 
 void WriteBinnedDensity(ByteWriter& writer, const BinnedDensity& bins) {

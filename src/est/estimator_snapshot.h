@@ -39,6 +39,12 @@ namespace selest {
 void WriteDomain(ByteWriter& writer, const Domain& domain);
 StatusOr<Domain> ReadDomain(ByteReader& reader);
 
+// The check every reader of a sorted array (samples, edges, cumulative
+// tables) applies: every value finite, then ascending. Finiteness comes
+// first because std::is_sorted compares with <, which is false against
+// NaN, so an array like {0.1, NaN, 0.05} passes an order check alone.
+bool IsFiniteAndSorted(std::span<const double> values);
+
 void WriteBinnedDensity(ByteWriter& writer, const BinnedDensity& bins);
 StatusOr<BinnedDensity> ReadBinnedDensity(ByteReader& reader);
 

@@ -170,10 +170,9 @@ StatusOr<HybridEstimator> HybridEstimator::DeserializeState(
   SELEST_ASSIGN_OR_RETURN(std::vector<double> partition,
                           reader.ReadDoubleVector());
   SELEST_ASSIGN_OR_RETURN(const uint32_t num_cells, reader.ReadU32());
-  if (partition.size() < 2 ||
-      !std::is_sorted(partition.begin(), partition.end())) {
+  if (partition.size() < 2 || !IsFiniteAndSorted(partition)) {
     return InvalidArgumentError(
-        "hybrid snapshot partition must be a sorted edge list");
+        "hybrid snapshot partition must be a finite, sorted edge list");
   }
   // Zero-width or empty bins are skipped at build time, so there can be
   // fewer cells than partition intervals — never more.

@@ -252,15 +252,8 @@ StatusOr<KernelEstimator> KernelEstimator::DeserializeState(
   SELEST_ASSIGN_OR_RETURN(options.kernel, ReadKernel(reader));
   SELEST_ASSIGN_OR_RETURN(options.boundary, ReadBoundaryPolicy(reader));
   SELEST_ASSIGN_OR_RETURN(const uint32_t quadrature, reader.ReadU32());
-  // Finite first: with a NaN in the strip std::is_sorted can report an
-  // unsorted strip as sorted, and the fringe scans assume finite, sorted
-  // samples.
-  const auto all_finite = [](const auto& values) {
-    return std::all_of(values.begin(), values.end(),
-                       [](double x) { return std::isfinite(x); });
-  };
-  if (sorted.empty() || !all_finite(sorted) ||
-      !std::is_sorted(sorted.begin(), sorted.end())) {
+  // The fringe scans assume finite, sorted samples.
+  if (sorted.empty() || !IsFiniteAndSorted(sorted)) {
     return InvalidArgumentError(
         "kernel snapshot samples must be non-empty, finite and sorted");
   }
@@ -285,8 +278,7 @@ StatusOr<KernelEstimator> KernelEstimator::DeserializeState(
     SELEST_ASSIGN_OR_RETURN(strip->hi, reader.ReadDouble());
     SELEST_ASSIGN_OR_RETURN(strip->cumulative, reader.ReadDoubleVector());
     if (!std::isfinite(strip->lo) || !std::isfinite(strip->hi) ||
-        strip->lo > strip->hi || !all_finite(strip->cumulative) ||
-        !std::is_sorted(strip->cumulative.begin(), strip->cumulative.end())) {
+        strip->lo > strip->hi || !IsFiniteAndSorted(strip->cumulative)) {
       return InvalidArgumentError(
           "kernel snapshot strip table is not a cumulative mass table");
     }

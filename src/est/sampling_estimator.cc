@@ -90,8 +90,9 @@ StatusOr<SamplingEstimator> SamplingEstimator::DeserializeState(
   if (sorted.empty()) {
     return InvalidArgumentError("sampling snapshot has an empty sample");
   }
-  if (!std::is_sorted(sorted.begin(), sorted.end())) {
-    return InvalidArgumentError("sampling snapshot sample is not sorted");
+  if (!IsFiniteAndSorted(sorted)) {
+    return InvalidArgumentError(
+        "sampling snapshot sample is not finite and sorted");
   }
   return SamplingEstimator(AlignedDoubles(sorted.begin(), sorted.end()));
 }

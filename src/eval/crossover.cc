@@ -7,6 +7,8 @@
 #include <memory>
 #include <utility>
 
+#include "src/eval/parallel_experiment.h"
+
 namespace selest {
 namespace {
 
@@ -21,9 +23,9 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 struct BuiltEstimator {
   std::string name;
   StreamingBuildPath path = StreamingBuildPath::kReservoirSample;
-  std::unique_ptr<SelectivityEstimator> estimator;
+  // The estimator, or why its streaming build failed.
+  ResolvedEstimator estimator = InternalError("not built");
   double build_seconds = 0.0;
-  std::string error;
 };
 
 std::string CellName(const EstimatorConfig& config) {
@@ -81,9 +83,10 @@ StatusOr<CrossoverResult> RunCrossover(const CrossoverConfig& config) {
         entry.build_seconds = SecondsSince(start);
         if (build.ok()) {
           entry.path = build->path;
-          entry.estimator = std::move(build->estimator);
+          entry.estimator = std::shared_ptr<const SelectivityEstimator>(
+              std::move(build->estimator));
         } else {
-          entry.error = build.status().ToString();
+          entry.estimator = build.status();
         }
         built.push_back(std::move(entry));
       }
@@ -112,19 +115,24 @@ StatusOr<CrossoverResult> RunCrossover(const CrossoverConfig& config) {
           cell.estimator = entry.name;
           cell.path = entry.path;
           cell.build_seconds = entry.build_seconds;
-          if (!entry.error.empty()) {
-            cell.error = entry.error;
+          // Serial scoring: the cell's latency is per query, not per pool.
+          // A failed build comes back as its own error.
+          const auto start = std::chrono::steady_clock::now();
+          auto scored = ScoreEstimators(setup.queries, setup.exact_counts,
+                                        setup.num_records,
+                                        {&entry.estimator, 1},
+                                        ParallelExecOptions{.threads = 1});
+          const double seconds = SecondsSince(start);
+          if (!scored.front().ok()) {
+            cell.error = scored.front().status().ToString();
             result.cells.push_back(std::move(cell));
             continue;
           }
-          const auto start = std::chrono::steady_clock::now();
-          const ErrorReport report =
-              EvaluateOnStreamingSetup(*entry.estimator, setup);
-          const double seconds = SecondsSince(start);
+          const ErrorReport& report = scored.front().value();
           cell.mean_relative_error = report.mean_relative_error;
           cell.p90_relative_error = report.p90_relative_error;
           cell.evaluated = report.evaluated;
-          cell.storage_bytes = entry.estimator->StorageBytes();
+          cell.storage_bytes = entry.estimator.value()->StorageBytes();
           cell.estimate_ns_per_query =
               setup.queries.empty()
                   ? 0.0

@@ -1,6 +1,8 @@
 #include "src/eval/experiment.h"
 
 #include <limits>
+#include <span>
+#include <utility>
 
 #include "src/eval/parallel_experiment.h"
 #include "src/sample/sampler.h"
@@ -35,11 +37,12 @@ ExperimentSetup MakeSetup(const Dataset& data,
 
 StatusOr<ErrorReport> RunConfig(const ExperimentSetup& setup,
                                 const EstimatorConfig& config) {
-  // The parallel path is bit-identical to the serial one at any thread
+  // The sweep is bit-identical to the serial Evaluate path at any thread
   // count (fixed-order reduction; see eval/parallel_experiment.h), so the
   // default runner — and with it the oracle objectives below — always goes
-  // through it. ParallelExecOptions{.threads = 1} is the serial fallback.
-  return RunConfigParallel(setup, config, ParallelExecOptions{});
+  // through it on the shared pool.
+  const std::span<const EstimatorConfig> configs(&config, 1);
+  return std::move(RunSweep(setup, BuildEstimators(setup, configs)).front());
 }
 
 std::function<double(int)> MakeBinCountObjective(const ExperimentSetup& setup,

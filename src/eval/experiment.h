@@ -50,10 +50,10 @@ StatusOr<ExperimentSetup> TryMakeSetup(const Dataset& data,
 ExperimentSetup MakeSetup(const Dataset& data, const ProtocolConfig& protocol);
 
 // Builds the configured estimator from the setup's sample and evaluates it
-// on the setup's queries. Evaluation fans out across the shared thread
-// pool; the result is bit-identical to a serial evaluation (see
-// eval/parallel_experiment.h for the determinism contract and for the
-// batch/sweep entry points with explicit thread control).
+// on the setup's queries: the one-config sweep. Evaluation fans out across
+// the shared thread pool; the result is bit-identical to a serial
+// evaluation (see eval/parallel_experiment.h for the determinism contract
+// and for the sweep entry points with explicit thread control).
 StatusOr<ErrorReport> RunConfig(const ExperimentSetup& setup,
                                 const EstimatorConfig& config);
 

@@ -1,15 +1,18 @@
 #include "src/eval/parallel_experiment.h"
 
-#include <algorithm>
-#include <memory>
 #include <optional>
 #include <utility>
 
 #include "src/exec/parallel_for.h"
+#include "src/exec/thread_pool.h"
 #include "src/util/check.h"
 
 namespace selest {
 namespace {
+
+// Query chunks per worker; more chunks even out per-chunk cost skew
+// without affecting results (chunk boundaries never change values).
+constexpr size_t kChunksPerThread = 4;
 
 // Resolves the options to a pool: the shared default pool, a dedicated
 // transient pool kept alive by `owned`, or nullptr for the serial path.
@@ -21,282 +24,102 @@ ThreadPool* ResolvePool(const ParallelExecOptions& options,
   return owned.get();
 }
 
-size_t NumChunks(const ThreadPool& pool, const ParallelExecOptions& options) {
-  return pool.num_threads() * std::max<size_t>(1, options.chunks_per_thread);
+size_t NumChunks(const ThreadPool* pool) {
+  return pool == nullptr ? 1 : pool->num_threads() * kChunksPerThread;
 }
 
-// EvaluateParallel's body against an already-resolved pool, so sweeps that
-// score many estimators resolve once per sweep instead of spawning (and
-// joining) a dedicated pool per config.
-ErrorReport EvaluateOnPool(const SelectivityEstimator& estimator,
-                           std::span<const RangeQuery> queries,
-                           const GroundTruth& truth, ThreadPool* pool,
-                           const ParallelExecOptions& options) {
-  if (pool == nullptr) return Evaluate(estimator, queries, truth);
-  std::vector<size_t> exact_counts(queries.size());
+// ScoreEstimators against an already-resolved pool, so RunSweep counts and
+// scores on one pool instead of spawning (and joining) two.
+std::vector<StatusOr<ErrorReport>> ScoreOnPool(
+    ThreadPool* pool, std::span<const RangeQuery> queries,
+    std::span<const size_t> exact_counts, size_t num_records,
+    std::span<const ResolvedEstimator> estimators) {
+  SELEST_CHECK_EQ(queries.size(), exact_counts.size());
+  std::vector<StatusOr<ErrorReport>> reports;
+  reports.reserve(estimators.size());
+  // One fan-out per cell (per-cell error attribution), each parallel over
+  // query chunks; each chunk fills its own slice of the shared buffer.
   std::vector<double> estimates(queries.size());
-  ParallelFor(pool, queries.size(), NumChunks(*pool, options),
-              [&](size_t begin, size_t end, size_t /*chunk*/) {
-                for (size_t i = begin; i < end; ++i) {
-                  exact_counts[i] = truth.Count(queries[i]);
-                }
-                estimator.EstimateSelectivityBatch(
-                    queries.subspan(begin, end - begin),
-                    std::span<double>(estimates).subspan(begin, end - begin));
-              });
-  return AccumulateReport(exact_counts, estimates, truth.num_records());
+  for (const ResolvedEstimator& estimator : estimators) {
+    if (!estimator.ok()) {
+      reports.push_back(estimator.status());
+      continue;
+    }
+    SELEST_CHECK(estimator.value() != nullptr);
+    const SelectivityEstimator& est = *estimator.value();
+    const Status status = TryParallelFor(
+        pool, queries.size(), NumChunks(pool),
+        [&](size_t begin, size_t end, size_t /*chunk*/) -> Status {
+          est.EstimateSelectivityBatch(
+              queries.subspan(begin, end - begin),
+              std::span<double>(estimates).subspan(begin, end - begin));
+          return Status::Ok();
+        });
+    if (!status.ok()) {
+      reports.push_back(status);
+      continue;
+    }
+    reports.push_back(AccumulateReport(exact_counts, estimates, num_records));
+  }
+  return reports;
 }
 
 }  // namespace
 
-ErrorReport EvaluateParallel(const SelectivityEstimator& estimator,
-                             std::span<const RangeQuery> queries,
-                             const GroundTruth& truth,
-                             const ParallelExecOptions& options) {
+std::vector<StatusOr<ErrorReport>> ScoreEstimators(
+    std::span<const RangeQuery> queries, std::span<const size_t> exact_counts,
+    size_t num_records, std::span<const ResolvedEstimator> estimators,
+    const ParallelExecOptions& options) {
   std::unique_ptr<ThreadPool> owned;
-  ThreadPool* pool = ResolvePool(options, owned);
-  return EvaluateOnPool(estimator, queries, truth, pool, options);
+  return ScoreOnPool(ResolvePool(options, owned), queries, exact_counts,
+                     num_records, estimators);
 }
 
-StatusOr<ErrorReport> RunConfigParallel(const ExperimentSetup& setup,
-                                        const EstimatorConfig& config,
-                                        const ParallelExecOptions& options) {
-  SELEST_CHECK(setup.data != nullptr);
-  auto estimator = BuildEstimator(setup.sample, setup.domain(), config);
-  if (!estimator.ok()) return estimator.status();
-  const GroundTruth truth(*setup.data);
-  return EvaluateParallel(*estimator.value(), setup.queries, truth, options);
-}
-
-std::vector<StatusOr<ErrorReport>> RunConfigsParallel(
-    const ExperimentSetup& setup, std::span<const EstimatorConfig> configs,
+std::vector<StatusOr<ErrorReport>> RunSweep(
+    const ExperimentSetup& setup, std::span<const ResolvedEstimator> estimators,
     const ParallelExecOptions& options) {
   SELEST_CHECK(setup.data != nullptr);
-  std::vector<StatusOr<ErrorReport>> results;
-  results.reserve(configs.size());
-
   std::unique_ptr<ThreadPool> owned;
   ThreadPool* pool = ResolvePool(options, owned);
-  if (pool == nullptr) {
-    for (const EstimatorConfig& config : configs) {
-      results.push_back(RunConfigParallel(setup, config, options));
-    }
-    return results;
-  }
-
   const GroundTruth truth(*setup.data);
   const std::span<const RangeQuery> queries(setup.queries);
-
-  // Phase 1 — shared inputs, each parallel on its own axis: the exact
-  // counts (identical for every config, so computed once) over query
-  // chunks, then the estimator builds over configs.
   std::vector<size_t> exact_counts(queries.size());
-  ParallelFor(pool, queries.size(), NumChunks(*pool, options),
+  ParallelFor(pool, queries.size(), NumChunks(pool),
               [&](size_t begin, size_t end, size_t /*chunk*/) {
                 for (size_t i = begin; i < end; ++i) {
                   exact_counts[i] = truth.Count(queries[i]);
                 }
               });
+  return ScoreOnPool(pool, queries, exact_counts, truth.num_records(),
+                     estimators);
+}
 
-  using BuildResult = StatusOr<std::unique_ptr<SelectivityEstimator>>;
-  std::vector<std::optional<BuildResult>> built(configs.size());
+std::vector<ResolvedEstimator> BuildEstimators(
+    const ExperimentSetup& setup, std::span<const EstimatorConfig> configs,
+    const ParallelExecOptions& options) {
+  SELEST_CHECK(setup.data != nullptr);
+  std::unique_ptr<ThreadPool> owned;
+  ThreadPool* pool = ResolvePool(options, owned);
+  std::vector<std::optional<ResolvedEstimator>> built(configs.size());
   ParallelFor(pool, configs.size(), configs.size(),
               [&](size_t begin, size_t end, size_t /*chunk*/) {
                 for (size_t c = begin; c < end; ++c) {
-                  built[c].emplace(
-                      BuildEstimator(setup.sample, setup.domain(), configs[c]));
+                  auto estimator =
+                      BuildEstimator(setup.sample, setup.domain(), configs[c]);
+                  if (estimator.ok()) {
+                    built[c].emplace(std::shared_ptr<const SelectivityEstimator>(
+                        std::move(estimator).value()));
+                  } else {
+                    built[c].emplace(estimator.status());
+                  }
                 }
               });
-
-  // Phase 2 — the (config × query chunk) fan-out. Each task fills its own
-  // slice of its config's estimate array; no two tasks share output slots.
-  struct EstimationTask {
-    size_t config;
-    size_t begin;
-    size_t end;
-  };
-  const auto query_chunks =
-      SplitRange(queries.size(), NumChunks(*pool, options));
-  std::vector<EstimationTask> tasks;
-  std::vector<std::vector<double>> estimates(configs.size());
-  for (size_t c = 0; c < configs.size(); ++c) {
-    if (!built[c]->ok()) continue;
-    estimates[c].resize(queries.size());
-    for (const auto& [begin, end] : query_chunks) {
-      tasks.push_back({c, begin, end});
-    }
+  std::vector<ResolvedEstimator> estimators;
+  estimators.reserve(configs.size());
+  for (std::optional<ResolvedEstimator>& cell : built) {
+    estimators.push_back(std::move(*cell));
   }
-  ParallelFor(pool, tasks.size(), tasks.size(),
-              [&](size_t begin, size_t end, size_t /*chunk*/) {
-                for (size_t t = begin; t < end; ++t) {
-                  const EstimationTask& task = tasks[t];
-                  const SelectivityEstimator& est = *built[task.config]->value();
-                  est.EstimateSelectivityBatch(
-                      queries.subspan(task.begin, task.end - task.begin),
-                      std::span<double>(estimates[task.config])
-                          .subspan(task.begin, task.end - task.begin));
-                }
-              });
-
-  // Phase 3 — fixed-order reduction, serial and in config order.
-  for (size_t c = 0; c < configs.size(); ++c) {
-    if (!built[c]->ok()) {
-      results.push_back(built[c]->status());
-      continue;
-    }
-    results.push_back(
-        AccumulateReport(exact_counts, estimates[c], truth.num_records()));
-  }
-  return results;
-}
-
-std::vector<StatusOr<ErrorReport>> RunConfigsServed(
-    Catalog& catalog, const std::string& relation, const std::string& attribute,
-    const ExperimentSetup& setup, std::span<const EstimatorConfig> configs,
-    const ParallelExecOptions& options) {
-  SELEST_CHECK(setup.data != nullptr);
-  std::vector<StatusOr<ErrorReport>> results;
-  results.reserve(configs.size());
-  const GroundTruth truth(*setup.data);
-  // One pool for the whole sweep: with options.threads = N this used to
-  // spawn and join a dedicated N-worker pool per config, which both churned
-  // threads and made the effective parallelism differ from
-  // RunConfigsParallel under the same options.
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool* pool = ResolvePool(options, owned);
-  for (const EstimatorConfig& config : configs) {
-    auto key = catalog.RegisterColumn(relation, attribute, setup.domain(),
-                                      setup.sample, config);
-    if (!key.ok()) {
-      results.push_back(key.status());
-      continue;
-    }
-    auto estimator = catalog.GetEstimator(key.value());
-    if (!estimator.ok()) {
-      results.push_back(estimator.status());
-      continue;
-    }
-    results.push_back(
-        EvaluateOnPool(*estimator.value(), setup.queries, truth, pool, options));
-  }
-  return results;
-}
-
-std::vector<StatusOr<ErrorReport>> RunConfigsLive(
-    LiveStatisticsServer& server, const std::string& relation,
-    const std::string& attribute, const ExperimentSetup& setup,
-    std::span<const EstimatorConfig> configs,
-    const LiveSweepOptions& options) {
-  SELEST_CHECK(setup.data != nullptr);
-  std::vector<StatusOr<ErrorReport>> results;
-  results.reserve(configs.size());
-  const GroundTruth truth(*setup.data);
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool* pool = ResolvePool(options.exec, owned);
-  for (const EstimatorConfig& config : configs) {
-    const Status registered = server.RegisterColumn(
-        relation, attribute, setup.domain(), config, setup.sample);
-    if (!registered.ok()) {
-      results.push_back(registered);
-      continue;
-    }
-    if (!options.ingest_rows.empty()) {
-      const Status ingested =
-          server.Ingest(relation, attribute, options.ingest_rows);
-      if (!ingested.ok()) {
-        results.push_back(ingested);
-        continue;
-      }
-      if (options.refresh_after_ingest) {
-        // A failed refresh is degradation, not a lost cell: the
-        // registration generation keeps serving and scores below.
-        (void)server.Refresh(relation, attribute);
-      }
-    }
-    auto estimator = server.CurrentEstimator(relation, attribute);
-    if (!estimator.ok()) {
-      results.push_back(estimator.status());
-      continue;
-    }
-    results.push_back(
-        EvaluateOnPool(*estimator.value(), setup.queries, truth, pool,
-                       options.exec));
-  }
-  return results;
-}
-
-std::vector<GuardedCellReport> RunConfigsGuarded(
-    const ExperimentSetup& setup, std::span<const EstimatorConfig> configs,
-    const ParallelExecOptions& options) {
-  SELEST_CHECK(setup.data != nullptr);
-  std::vector<GuardedCellReport> cells(configs.size());
-  if (configs.empty()) return cells;
-
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool* pool = ResolvePool(options, owned);
-  const size_t num_chunks = pool == nullptr ? 1 : NumChunks(*pool, options);
-
-  const GroundTruth truth(*setup.data);
-  const std::span<const RangeQuery> queries(setup.queries);
-
-  // Phase 1a — exact counts, once (they are estimator-independent). A
-  // failure here (an injected `exec/task` fault) poisons every cell the
-  // same way, recorded per cell below.
-  std::vector<size_t> exact_counts(queries.size());
-  const Status counts_status =
-      TryParallelFor(pool, queries.size(), num_chunks,
-                     [&](size_t begin, size_t end, size_t /*chunk*/) -> Status {
-                       for (size_t i = begin; i < end; ++i) {
-                         exact_counts[i] = truth.Count(queries[i]);
-                       }
-                       return Status::Ok();
-                     });
-
-  // Phase 1b — guarded builds, serial in config order so the `est/build`
-  // fault point sees a schedule-independent hit sequence.
-  std::vector<std::unique_ptr<GuardedEstimator>> chains(configs.size());
-  for (size_t c = 0; c < configs.size(); ++c) {
-    auto build =
-        BuildGuardedEstimator(setup.sample, setup.domain(), configs[c]);
-    if (!build.ok()) {
-      // Nothing can answer (malformed domain): the cell records the error
-      // and keeps its zeroed report.
-      cells[c].primary_status = build.status();
-      cells[c].eval_status = build.status();
-      cells[c].estimator_name = "unavailable";
-      continue;
-    }
-    cells[c].primary_status = build.value().primary_status;
-    chains[c] = std::move(build.value().estimator);
-  }
-
-  // Phase 2 — one fan-out per config (per-config error attribution), each
-  // parallel over query chunks. Serial fan-outs share one estimate buffer.
-  std::vector<double> estimates(queries.size());
-  for (size_t c = 0; c < configs.size(); ++c) {
-    if (chains[c] == nullptr) continue;
-    GuardedCellReport& cell = cells[c];
-    cell.estimator_name = chains[c]->name();
-    Status eval = counts_status;
-    if (eval.ok()) {
-      const GuardedEstimator& chain = *chains[c];
-      eval = TryParallelFor(
-          pool, queries.size(), num_chunks,
-          [&](size_t begin, size_t end, size_t /*chunk*/) -> Status {
-            chain.EstimateSelectivityBatch(
-                queries.subspan(begin, end - begin),
-                std::span<double>(estimates).subspan(begin, end - begin));
-            return Status::Ok();
-          });
-    }
-    cell.eval_status = eval;
-    cell.stats = chains[c]->stats();
-    if (eval.ok()) {
-      cell.report =
-          AccumulateReport(exact_counts, estimates, truth.num_records());
-    }
-  }
-  return cells;
+  return estimators;
 }
 
 }  // namespace selest

@@ -1,30 +1,29 @@
-// Parallel batch evaluation of experiment configurations.
+// The experiment sweep: one scoring core for every estimator source.
 //
-// The paper's evaluation (§5) is an embarrassingly parallel sweep:
-// thousands of range queries scored against many estimator configurations
-// per data file. This runner fans that sweep out across (estimator config ×
-// query chunk) tasks on a shared thread pool, with a determinism contract:
+// The paper's evaluation (§5.1) scores many estimators against one query
+// file. Where each cell's estimator comes from — a plain build, a guarded
+// build, a catalog or live-server serve, a streaming build — is the
+// caller's business: it resolves one estimator per cell (or the error that
+// kept its source from producing one), and ScoreEstimators scores them all
+// under one determinism contract:
 //
 //   * per-query quantities (exact count, estimated selectivity) are
-//     computed independently, each exactly as the serial path computes it;
+//     computed independently over query chunks, each exactly as the serial
+//     path computes it;
 //   * every floating-point reduction happens after the fan-out in a fixed
 //     serial order (AccumulateReport, in query order).
 //
-// Reports are therefore bit-identical to the serial RunConfig/Evaluate path
-// at any thread count. See DESIGN.md, "Execution layer".
+// Reports are therefore bit-identical to the serial Evaluate path at any
+// thread count, whatever the source. See DESIGN.md, "Execution layer".
 #ifndef SELEST_EVAL_PARALLEL_EXPERIMENT_H_
 #define SELEST_EVAL_PARALLEL_EXPERIMENT_H_
 
+#include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
-#include "src/catalog/live_server.h"
-#include "src/catalog/statistics_catalog.h"
-#include "src/est/guarded_estimator.h"
 #include "src/eval/experiment.h"
 #include "src/eval/metrics.h"
-#include "src/exec/thread_pool.h"
 #include "src/util/status.h"
 
 namespace selest {
@@ -35,105 +34,38 @@ struct ParallelExecOptions {
   // N → a dedicated pool of N workers for this call (used by the
   //     determinism tests and the speedup benchmark).
   size_t threads = 0;
-  // Query chunks per worker; more chunks even out per-chunk cost skew
-  // without affecting results (chunk boundaries never change values).
-  size_t chunks_per_thread = 4;
 };
 
-// Evaluate() with query chunks fanned across the pool. Bit-identical to
-// Evaluate() on the same inputs.
-ErrorReport EvaluateParallel(const SelectivityEstimator& estimator,
-                             std::span<const RangeQuery> queries,
-                             const GroundTruth& truth,
-                             const ParallelExecOptions& options = {});
+// One sweep cell's estimator, or why its source could not produce one.
+// Shared ownership is what the catalog and the live server hand out; the
+// build helper below converts into it.
+using ResolvedEstimator = StatusOr<std::shared_ptr<const SelectivityEstimator>>;
 
-// RunConfig() with parallel evaluation: builds the estimator, then scores
-// the setup's queries via EvaluateParallel.
-StatusOr<ErrorReport> RunConfigParallel(const ExperimentSetup& setup,
-                                        const EstimatorConfig& config,
-                                        const ParallelExecOptions& options = {});
-
-// Runs a whole sweep: exact counts are computed once, estimators are built
-// in parallel across configs, and estimation fans out over every
-// (config, query chunk) pair. Results are returned in config order and are
-// bit-identical to calling RunConfig on each config serially.
-std::vector<StatusOr<ErrorReport>> RunConfigsParallel(
-    const ExperimentSetup& setup, std::span<const EstimatorConfig> configs,
+// The scoring core. Scores every resolved estimator against `queries`,
+// whose exact result sizes over `num_records` records are `exact_counts`:
+// EstimateSelectivityBatch over query chunks, one TryParallelFor fan-out
+// per cell, then AccumulateReport in query order. Reports come back in cell
+// order. An unresolved cell keeps its source's error; a cell whose fan-out
+// fails (an injected `exec/task` fault or a thrown chunk) gets that error
+// as its own, and the other cells score normally.
+std::vector<StatusOr<ErrorReport>> ScoreEstimators(
+    std::span<const RangeQuery> queries, std::span<const size_t> exact_counts,
+    size_t num_records, std::span<const ResolvedEstimator> estimators,
     const ParallelExecOptions& options = {});
 
-// One sweep cell from RunConfigsGuarded: the report is always present
-// (filled from whatever the guarded chain answered), annotated with what
-// went wrong and how often the guard had to intervene.
-struct GuardedCellReport {
-  ErrorReport report;
-  // Why the requested config is missing from the chain; OK when the
-  // primary built and headed the chain.
-  Status primary_status;
-  // Non-OK when the evaluation fan-out itself failed (an injected
-  // `exec/task` fault or a thrown chunk); the report is zeroed then.
-  Status eval_status;
-  // Degradation counters observed while scoring this cell's queries.
-  GuardedStats stats;
-  // name() of the guarded chain that produced the report.
-  std::string estimator_name;
-
-  bool degraded() const {
-    return !primary_status.ok() || !eval_status.ok() || stats.degraded();
-  }
-};
-
-// RunConfigsParallel with graceful degradation: every config is built via
-// BuildGuardedEstimator, so a config that cannot build (or an estimator
-// that emits garbage) yields a recorded error plus fallback-chain
-// estimates instead of aborting or voiding the sweep. Cells whose primary
-// builds cleanly carry reports bit-identical to RunConfigsParallel — the
-// guard only rewrites answers it had to repair. Cells are returned in
-// config order at any thread count.
-std::vector<GuardedCellReport> RunConfigsGuarded(
-    const ExperimentSetup& setup, std::span<const EstimatorConfig> configs,
+// The sweep over an in-memory setup: exact counts from one GroundTruth
+// fan-out, computed once however many cells there are, then
+// ScoreEstimators on the same pool.
+std::vector<StatusOr<ErrorReport>> RunSweep(
+    const ExperimentSetup& setup, std::span<const ResolvedEstimator> estimators,
     const ParallelExecOptions& options = {});
 
-// RunConfigsParallel served through a warmed statistics catalog: each
-// config is registered under (relation, attribute) with the setup's sample,
-// the catalog resolves it (cache → snapshot → rebuild), and the resulting
-// estimator scores the setup's queries through the same fan-out. Because a
-// catalog rebuild calls BuildEstimator on the registered sample and
-// snapshot round-trips are bit-identical, reports match RunConfigsParallel
-// bit for bit whether each cell was served cold, from disk, or from cache.
-// Registration errors surface per cell in config order.
-std::vector<StatusOr<ErrorReport>> RunConfigsServed(
-    Catalog& catalog, const std::string& relation, const std::string& attribute,
+// The plain-build source: BuildEstimator on the setup's sample for every
+// config, parallel across configs. Build errors surface per cell, in config
+// order.
+std::vector<ResolvedEstimator> BuildEstimators(
     const ExperimentSetup& setup, std::span<const EstimatorConfig> configs,
     const ParallelExecOptions& options = {});
-
-// Options for the live-server sweep. With an empty `ingest_rows`, the
-// sweep is a pure read workload and its reports are bit-identical to
-// RunConfigsServed (and hence RunConfigsParallel): the live registration
-// build and the catalog rebuild both call BuildEstimator on the same
-// sample, and scoring goes through the same fan-out.
-struct LiveSweepOptions {
-  ParallelExecOptions exec;
-  // Rows folded into every column after registration, before scoring
-  // (the mixed read/ingest workload).
-  std::vector<double> ingest_rows;
-  // Force a synchronous refresh after the ingest so the scored generation
-  // reflects the folded rows. A failed refresh keeps the registration
-  // generation serving, and the cell reports scores from it (graceful
-  // degradation, not an error cell).
-  bool refresh_after_ingest = true;
-};
-
-// RunConfigsServed through a LiveStatisticsServer: each config is
-// registered as a live column with the setup's sample, optionally fed
-// `ingest_rows` and refreshed, and the currently served generation scores
-// the setup's queries through the shared fan-out. Configs reuse the
-// (relation, attribute) slot sequentially — each registration replaces the
-// previous config's column. Results are in config order.
-std::vector<StatusOr<ErrorReport>> RunConfigsLive(
-    LiveStatisticsServer& server, const std::string& relation,
-    const std::string& attribute, const ExperimentSetup& setup,
-    std::span<const EstimatorConfig> configs,
-    const LiveSweepOptions& options = {});
 
 }  // namespace selest
 

@@ -80,21 +80,4 @@ StatusOr<StreamingExperimentSetup> TryMakeStreamingSetup(
   return setup;
 }
 
-ErrorReport EvaluateOnStreamingSetup(const SelectivityEstimator& estimator,
-                                     const StreamingExperimentSetup& setup) {
-  std::vector<double> estimated(setup.queries.size(), 0.0);
-  estimator.EstimateSelectivityBatch(setup.queries, estimated);
-  return AccumulateReport(setup.exact_counts, estimated,
-                          static_cast<size_t>(setup.num_records));
-}
-
-StatusOr<ErrorReport> RunConfigStreaming(ColumnSource& source,
-                                         const StreamingExperimentSetup& setup,
-                                         const EstimatorConfig& config,
-                                         const StreamingBuildOptions& options) {
-  SELEST_ASSIGN_OR_RETURN(StreamingBuild build,
-                          BuildEstimatorStreaming(source, config, options));
-  return EvaluateOnStreamingSetup(*build.estimator, setup);
-}
-
 }  // namespace selest

@@ -10,7 +10,9 @@
 // the full column cannot be cheaply re-drawn mid-stream, so empty queries
 // are dropped after exact counting instead of re-drawn during generation
 // (ErrorReport already skips them; the setup records how many were
-// dropped).
+// dropped). The setup carries its exact counts, so any estimator — however
+// it was built — scores against it through ScoreEstimators
+// (eval/parallel_experiment.h).
 #ifndef SELEST_EVAL_STREAMING_EXPERIMENT_H_
 #define SELEST_EVAL_STREAMING_EXPERIMENT_H_
 
@@ -18,9 +20,7 @@
 #include <vector>
 
 #include "src/data/column_source.h"
-#include "src/est/streaming_build.h"
 #include "src/eval/experiment.h"
-#include "src/eval/metrics.h"
 #include "src/query/range_query.h"
 #include "src/util/status.h"
 
@@ -47,22 +47,6 @@ struct StreamingExperimentSetup {
 // contradicts its header fails here, kInvalidArgument.
 StatusOr<StreamingExperimentSetup> TryMakeStreamingSetup(
     ColumnSource& source, const ProtocolConfig& protocol);
-
-// Scores an already-built estimator against the setup: batch estimation
-// over the query file, then the same fixed-order reduction as the
-// in-memory path (AccumulateReport), so a given (estimator, setup) pair
-// scores bit-identically however the estimator was built.
-ErrorReport EvaluateOnStreamingSetup(const SelectivityEstimator& estimator,
-                                     const StreamingExperimentSetup& setup);
-
-// Builds `config` from the source via BuildEstimatorStreaming and scores
-// it against the setup. The build options' sample size and seed default
-// to the protocol values used for the setup, so estimators see the same
-// sample the setup holds.
-StatusOr<ErrorReport> RunConfigStreaming(ColumnSource& source,
-                                         const StreamingExperimentSetup& setup,
-                                         const EstimatorConfig& config,
-                                         const StreamingBuildOptions& options);
 
 }  // namespace selest
 

@@ -48,8 +48,9 @@ void ParallelFor(ThreadPool* pool, size_t n, size_t num_chunks,
 // the hook that lets the robustness suite prove an injected task failure
 // surfaces as a Status instead of crashing or hanging the pool.
 //
-// Guarded pipelines (eval/parallel_experiment.h RunConfigsGuarded) use
-// this; the void ParallelFor above remains for bodies that cannot fail.
+// The sweep's scoring core (eval/parallel_experiment.h ScoreEstimators)
+// runs one such fan-out per cell, so a failed chunk is that cell's error
+// alone; the void ParallelFor above remains for bodies that cannot fail.
 Status TryParallelFor(ThreadPool* pool, size_t n, size_t num_chunks,
                       const std::function<Status(size_t, size_t, size_t)>& body);
 

@@ -20,7 +20,10 @@
 #include "src/data/domain.h"
 #include "src/est/estimator_factory.h"
 #include "src/est/estimator_snapshot.h"
+#include "src/est/adaptive_kernel_estimator.h"
+#include "src/est/hybrid_estimator.h"
 #include "src/est/kernel_estimator.h"
+#include "src/est/sampling_estimator.h"
 #include "src/util/random.h"
 #include "src/util/serialize.h"
 
@@ -264,6 +267,103 @@ TEST(CorruptSnapshotTest, NonFiniteKernelSamplesAndStripNodesAreRejected) {
                   .code(),
               StatusCode::kInvalidArgument);
   }
+}
+
+// Payload writers for the other three readers of sorted arrays, over
+// [0, 1]. Sampling: the sorted sample alone.
+void WriteSamplingPayload(ByteWriter& writer,
+                          const std::vector<double>& sorted) {
+  writer.WriteDoubleVector(sorted);
+}
+
+// Adaptive kernel: `sorted`, a 0.1 bandwidth per sample, base bandwidth
+// 0.1, Epanechnikov.
+void WriteAdaptiveKernelPayload(ByteWriter& writer,
+                                const std::vector<double>& sorted) {
+  writer.WriteDoubleVector(sorted);
+  writer.WriteDoubleVector(std::vector<double>(sorted.size(), 0.1));
+  writer.WriteDouble(0.1);
+  WriteDomain(writer, ContinuousDomain(0.0, 1.0));
+  WriteKernel(writer, Kernel(KernelType::kEpanechnikov));
+}
+
+// Hybrid: `partition` as the edge list, then one kernel cell over [0, 1].
+void WriteHybridPayload(ByteWriter& writer,
+                        const std::vector<double>& partition) {
+  writer.WriteDoubleVector(partition);
+  writer.WriteU32(1);
+  WriteDomain(writer, ContinuousDomain(0.0, 1.0));
+  writer.WriteDouble(1.0);
+  WriteKernelPayload(writer, {0.05, 0.1, 0.3, 0.7});
+}
+
+// `good` decodes (the control), and every array in `damaged` is
+// kInvalidArgument, directly and as a checksummed snapshot.
+template <typename Estimator>
+void ExpectNonFiniteRejected(
+    EstimatorTag tag,
+    void (*write)(ByteWriter&, const std::vector<double>&),
+    const std::vector<double>& good,
+    const std::vector<std::vector<double>>& damaged) {
+  const auto decode = [write](const std::vector<double>& values) {
+    ByteWriter writer;
+    write(writer, values);
+    ByteReader reader(writer.TakeBytes());
+    return Estimator::DeserializeState(reader);
+  };
+  const auto snapshot = [write, tag](const std::vector<double>& values) {
+    ByteWriter writer;
+    writer.WriteU32(static_cast<uint32_t>(tag));
+    write(writer, values);
+    return WrapSnapshot(static_cast<uint32_t>(tag), writer.bytes());
+  };
+  auto control = decode(good);
+  ASSERT_TRUE(control.ok()) << control.status().ToString();
+  ASSERT_TRUE(LoadEstimatorSnapshot(snapshot(good)).ok());
+  for (const std::vector<double>& values : damaged) {
+    auto direct = decode(values);
+    ASSERT_FALSE(direct.ok());
+    EXPECT_EQ(direct.status().code(), StatusCode::kInvalidArgument)
+        << direct.status().ToString();
+    EXPECT_EQ(LoadEstimatorSnapshot(snapshot(values)).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+// The first damaged array of each case below is unsorted around a NaN,
+// which std::is_sorted accepts; the rest are sorted but not finite.
+TEST(CorruptSnapshotTest, NonFiniteSamplingSampleIsRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ExpectNonFiniteRejected<SamplingEstimator>(
+      EstimatorTag::kSampling, WriteSamplingPayload, {0.05, 0.1, 0.3, 0.7},
+      {{0.1, nan, 0.05, 0.7},
+       {nan, 0.1, 0.3, 0.7},
+       {0.05, 0.1, 0.3, inf},
+       {-inf, 0.1, 0.3, 0.7}});
+}
+
+TEST(CorruptSnapshotTest, NonFiniteAdaptiveKernelSamplesAreRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ExpectNonFiniteRejected<AdaptiveKernelEstimator>(
+      EstimatorTag::kAdaptiveKernel, WriteAdaptiveKernelPayload,
+      {0.05, 0.1, 0.3, 0.7},
+      {{0.1, nan, 0.05, 0.7},
+       {nan, 0.1, 0.3, 0.7},
+       {0.05, 0.1, 0.3, inf},
+       {-inf, 0.1, 0.3, 0.7}});
+}
+
+TEST(CorruptSnapshotTest, NonFiniteHybridPartitionEdgesAreRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ExpectNonFiniteRejected<HybridEstimator>(
+      EstimatorTag::kHybrid, WriteHybridPayload, {0.0, 0.5, 1.0},
+      {{0.5, nan, 0.0, 1.0},
+       {nan, 0.5, 1.0},
+       {0.0, 0.5, inf},
+       {-inf, 0.5, 1.0}});
 }
 
 TEST(CorruptSnapshotTest, CatalogRebuildsThroughCorruptSnapshot) {

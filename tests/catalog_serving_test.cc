@@ -18,7 +18,6 @@
 #include "src/data/dataset.h"
 #include "src/data/domain.h"
 #include "src/est/estimator_factory.h"
-#include "src/eval/parallel_experiment.h"
 #include "src/query/range_query.h"
 #include "src/util/random.h"
 
@@ -229,63 +228,6 @@ TEST(CatalogServingTest, ServingCacheTracksBytesAndReplacement) {
   EXPECT_EQ(cache.stats().resident_entries, 1u);
   EXPECT_EQ(cache.Lookup(a), nullptr);
   EXPECT_NE(cache.Lookup(b), nullptr);
-}
-
-TEST(CatalogServingTest, ServedSweepMatchesParallelSweepBitForBit) {
-  const Domain domain = BitDomain(12);
-  Rng rng(2026);
-  std::vector<double> values;
-  for (size_t i = 0; i < 20000; ++i) {
-    values.push_back(domain.Quantize(rng.NextDouble() * domain.width()));
-  }
-  const Dataset data("served-sweep", domain, std::move(values));
-  ProtocolConfig protocol;
-  protocol.sample_size = 500;
-  protocol.num_queries = 200;
-  const ExperimentSetup setup = MakeSetup(data, protocol);
-
-  EstimatorConfig ewh;
-  EstimatorConfig kernel;
-  kernel.kind = EstimatorKind::kKernel;
-  EstimatorConfig ash;
-  ash.kind = EstimatorKind::kAverageShifted;
-  const std::vector<EstimatorConfig> configs{ewh, kernel, ash};
-
-  const auto direct = RunConfigsParallel(setup, configs);
-
-  const std::string dir = FreshDir("selest_served_sweep");
-  Catalog catalog(InDirectory(dir));
-  // Twice through the catalog: the first pass serves cold rebuilds, the
-  // second serves cache hits (and disk snapshots through a fresh catalog
-  // below) — all three paths must agree bit for bit.
-  for (int pass = 0; pass < 2; ++pass) {
-    const auto served =
-        RunConfigsServed(catalog, "sweep", "v", setup, configs);
-    ASSERT_EQ(served.size(), direct.size());
-    for (size_t i = 0; i < served.size(); ++i) {
-      ASSERT_TRUE(served[i].ok());
-      ASSERT_TRUE(direct[i].ok());
-      EXPECT_EQ(served[i].value().mean_relative_error,
-                direct[i].value().mean_relative_error)
-          << "pass " << pass << " config " << i;
-      EXPECT_EQ(served[i].value().mean_absolute_error,
-                direct[i].value().mean_absolute_error);
-      EXPECT_EQ(served[i].value().max_relative_error,
-                direct[i].value().max_relative_error);
-    }
-  }
-  EXPECT_EQ(catalog.serve_stats().rebuilds, configs.size());
-
-  Catalog snapshot_served(InDirectory(dir));
-  const auto from_disk =
-      RunConfigsServed(snapshot_served, "sweep", "v", setup, configs);
-  for (size_t i = 0; i < from_disk.size(); ++i) {
-    ASSERT_TRUE(from_disk[i].ok());
-    EXPECT_EQ(from_disk[i].value().mean_relative_error,
-              direct[i].value().mean_relative_error);
-  }
-  EXPECT_EQ(snapshot_served.serve_stats().snapshot_loads, configs.size());
-  EXPECT_EQ(snapshot_served.serve_stats().rebuilds, 0u);
 }
 
 // The ISSUE's concurrency scenario: 8 threads hammer a 4-entry LRU with a

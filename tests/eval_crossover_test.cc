@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -57,6 +58,32 @@ TEST(CrossoverTest, SweepsEveryCellAndReducesToFrontier) {
         << point.latency_winner;
     EXPECT_GE(point.error_winner_mre, 0.0);
     EXPECT_GT(point.latency_winner_ns, 0.0);
+  }
+}
+
+TEST(CrossoverTest, FailedBuildIsAnErrorCellOutsideTheFrontier) {
+  CrossoverConfig config = TinyConfig();
+  EstimatorConfig broken;  // a NaN fixed bandwidth cannot build
+  broken.kind = EstimatorKind::kKernel;
+  broken.smoothing = SmoothingRule::kFixed;
+  broken.fixed_smoothing = std::numeric_limits<double>::quiet_NaN();
+  config.estimators.push_back(broken);
+  auto result = RunCrossover(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->cells.size(), 24u);
+  for (const CrossoverCell& cell : result->cells) {
+    if (cell.estimator == "kernel") {
+      EXPECT_FALSE(cell.error.empty());
+      EXPECT_EQ(cell.evaluated, 0u);
+    } else {
+      EXPECT_TRUE(cell.error.empty()) << cell.estimator << ": " << cell.error;
+      EXPECT_GT(cell.evaluated, 0u);
+    }
+  }
+  EXPECT_EQ(result->frontier.size(), 8u);
+  for (const CrossoverFrontierPoint& point : result->frontier) {
+    EXPECT_NE(point.error_winner, "kernel");
+    EXPECT_NE(point.latency_winner, "kernel");
   }
 }
 

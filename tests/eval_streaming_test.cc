@@ -7,12 +7,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "src/data/column_source.h"
 #include "src/data/dataset.h"
 #include "src/data/distribution.h"
 #include "src/data/domain.h"
+#include "src/est/streaming_build.h"
+#include "src/eval/parallel_experiment.h"
 #include "src/query/streaming_ground_truth.h"
 #include "src/util/random.h"
 
@@ -114,6 +117,20 @@ TEST(StreamingSetupTest, RowOutsideDomainIsInvalidArgument) {
             StatusCode::kInvalidArgument);
 }
 
+// The streaming source at its call site: build `config` from the column,
+// then score it against the setup's own exact counts.
+std::vector<StatusOr<ErrorReport>> ScoreStreamingBuild(
+    ColumnSource& source, const StreamingExperimentSetup& setup,
+    const EstimatorConfig& config, const StreamingBuildOptions& options) {
+  auto build = BuildEstimatorStreaming(source, config, options);
+  const ResolvedEstimator estimator =
+      build.ok() ? ResolvedEstimator(std::shared_ptr<const SelectivityEstimator>(
+                       std::move(build->estimator)))
+                 : ResolvedEstimator(build.status());
+  return ScoreEstimators(setup.queries, setup.exact_counts, setup.num_records,
+                         {&estimator, 1});
+}
+
 TEST(StreamingSetupTest, RunConfigStreamingScoresEstimators) {
   const Dataset data = TestData(4000);
   InMemoryColumnSource source(data, 512);
@@ -131,7 +148,9 @@ TEST(StreamingSetupTest, RunConfigStreamingScoresEstimators) {
         EstimatorKind::kUniform}) {
     EstimatorConfig config;
     config.kind = kind;
-    auto report = RunConfigStreaming(source, *setup, config, options);
+    const auto reports = ScoreStreamingBuild(source, *setup, config, options);
+    ASSERT_EQ(reports.size(), 1u);
+    const auto& report = reports.front();
     ASSERT_TRUE(report.ok())
         << EstimatorKindName(kind) << ": " << report.status().ToString();
     EXPECT_EQ(report->evaluated, setup->queries.size());
@@ -150,11 +169,12 @@ TEST(StreamingSetupTest, EvaluationIsDeterministicPerEstimator) {
   ASSERT_TRUE(setup.ok());
   EstimatorConfig config;
   config.kind = EstimatorKind::kEquiWidth;
-  auto first = RunConfigStreaming(source, *setup, config, {});
-  auto second = RunConfigStreaming(source, *setup, config, {});
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first->mean_relative_error, second->mean_relative_error);
+  const auto first = ScoreStreamingBuild(source, *setup, config, {});
+  const auto second = ScoreStreamingBuild(source, *setup, config, {});
+  ASSERT_TRUE(first.front().ok());
+  ASSERT_TRUE(second.front().ok());
+  EXPECT_EQ(first.front()->mean_relative_error,
+            second.front()->mean_relative_error);
 }
 
 }  // namespace

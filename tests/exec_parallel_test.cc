@@ -1,4 +1,4 @@
-// Determinism and robustness of the exec layer and the parallel runner:
+// Determinism and robustness of the exec layer and the sweep:
 // reports must be bit-identical at every thread count, and the pool must
 // survive task exceptions and degenerate chunkings.
 #include "src/eval/parallel_experiment.h"
@@ -65,15 +65,15 @@ TEST(ExecParallelTest, ReportsBitIdenticalAcrossThreadCounts) {
   const ExperimentSetup setup = MakeSetup(data, protocol);
   const auto configs = SweepConfigs();
 
-  ParallelExecOptions serial;
-  serial.threads = 1;
-  const auto baseline = RunConfigsParallel(setup, configs, serial);
+  const ParallelExecOptions serial{1};
+  const auto baseline =
+      RunSweep(setup, BuildEstimators(setup, configs, serial), serial);
   ASSERT_EQ(baseline.size(), configs.size());
 
-  for (size_t threads : {2u, 8u}) {
-    ParallelExecOptions options;
-    options.threads = threads;
-    const auto reports = RunConfigsParallel(setup, configs, options);
+  for (size_t threads : {2u, 4u, 8u}) {
+    const ParallelExecOptions options{threads};
+    const auto reports =
+        RunSweep(setup, BuildEstimators(setup, configs, options), options);
     ASSERT_EQ(reports.size(), configs.size());
     for (size_t c = 0; c < configs.size(); ++c) {
       ASSERT_TRUE(baseline[c].ok());
@@ -83,7 +83,7 @@ TEST(ExecParallelTest, ReportsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ExecParallelTest, RunConfigMatchesSerialRunConfigParallel) {
+TEST(ExecParallelTest, RunConfigMatchesSerialSweep) {
   const Dataset data = MakeData(12);
   ProtocolConfig protocol;
   protocol.sample_size = 500;
@@ -94,12 +94,13 @@ TEST(ExecParallelTest, RunConfigMatchesSerialRunConfigParallel) {
   config.boundary = BoundaryPolicy::kBoundaryKernel;
 
   const auto via_default = RunConfig(setup, config);
-  ParallelExecOptions serial;
-  serial.threads = 1;
-  const auto via_serial = RunConfigParallel(setup, config, serial);
+  const ParallelExecOptions serial{1};
+  const std::vector<EstimatorConfig> configs{config};
+  const auto via_serial =
+      RunSweep(setup, BuildEstimators(setup, configs, serial), serial);
   ASSERT_TRUE(via_default.ok());
-  ASSERT_TRUE(via_serial.ok());
-  ExpectBitIdentical(*via_default, *via_serial);
+  ASSERT_TRUE(via_serial.front().ok());
+  ExpectBitIdentical(*via_default, *via_serial.front());
 }
 
 TEST(ExecParallelTest, SweepPropagatesPerConfigBuildFailures) {
@@ -119,9 +120,9 @@ TEST(ExecParallelTest, SweepPropagatesPerConfigBuildFailures) {
   bad.fixed_smoothing = -1.0;
   configs.push_back(bad);
 
-  ParallelExecOptions options;
-  options.threads = 2;
-  const auto reports = RunConfigsParallel(setup, configs, options);
+  const ParallelExecOptions options{2};
+  const auto reports =
+      RunSweep(setup, BuildEstimators(setup, configs, options), options);
   ASSERT_EQ(reports.size(), 2u);
   EXPECT_TRUE(reports[0].ok());
   EXPECT_FALSE(reports[1].ok());

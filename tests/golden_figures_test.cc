@@ -104,7 +104,7 @@ TEST(GoldenFiguresTest, Fig12RankingAndMagnitudes) {
     ProtocolConfig protocol;
     protocol.seed = 17;
     const ExperimentSetup setup = MakeSetup(*data, protocol);
-    const auto reports = RunConfigsParallel(setup, configs);
+    const auto reports = RunSweep(setup, BuildEstimators(setup, configs));
     ASSERT_EQ(reports.size(), 3u);
     for (const auto& report : reports) ASSERT_TRUE(report.ok());
     const double ewh_mre = reports[0].value().mean_relative_error;

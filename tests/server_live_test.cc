@@ -1,8 +1,8 @@
 // The live statistics server, deterministic paths: registration serving
 // bit-identical to the passive catalog, ingest + refresh semantics for the
 // merge and rebuild paths, the ingest-volume and TTL staleness policies,
-// snapshot write-back, file ingest, the online serve path, and the
-// RunConfigsLive sweep equivalences.
+// snapshot write-back, file ingest, the online serve path, and sweeps
+// scored from the served generation.
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -309,7 +309,7 @@ TEST(LiveServerTest, GenerationHistoryRequiresOptIn) {
             StatusCode::kFailedPrecondition);
 }
 
-// --- RunConfigsLive -------------------------------------------------------
+// --- Sweeps over served generations ----------------------------------------
 
 ExperimentSetup MakeSetup(const Dataset& data) {
   ExperimentSetup setup;
@@ -323,51 +323,29 @@ ExperimentSetup MakeSetup(const Dataset& data) {
   return setup;
 }
 
-TEST(RunConfigsLiveTest, PureReadSweepMatchesServedSweep) {
-  const Dataset data("d", kDomain, MakeRows(1200, 19));
-  const ExperimentSetup setup = MakeSetup(data);
-  const std::vector<EstimatorConfig> configs = {
-      ConfigWithBins(EstimatorKind::kEquiWidth, 20),
-      ConfigWithBins(EstimatorKind::kEquiDepth, 20),
-      ConfigWithBins(EstimatorKind::kMaxDiff, 20),
-  };
-  Catalog catalog;
-  const auto served =
-      RunConfigsServed(catalog, "d", "x", setup, configs, {});
-  LiveStatisticsServer server(InlineOptions());
-  const auto live = RunConfigsLive(server, "d", "x", setup, configs, {});
-  ASSERT_EQ(served.size(), live.size());
-  for (size_t i = 0; i < served.size(); ++i) {
-    ASSERT_TRUE(served[i].ok());
-    ASSERT_TRUE(live[i].ok());
-    EXPECT_EQ(live[i].value().mean_relative_error,
-              served[i].value().mean_relative_error);
-    EXPECT_EQ(live[i].value().mean_absolute_error,
-              served[i].value().mean_absolute_error);
-    EXPECT_EQ(live[i].value().max_relative_error,
-              served[i].value().max_relative_error);
-    EXPECT_EQ(live[i].value().evaluated, served[i].value().evaluated);
-  }
-}
-
 TEST(RunConfigsLiveTest, IngestSweepReflectsFoldedRows) {
   const Dataset data("d", kDomain, MakeRows(1000, 20));
   const ExperimentSetup setup = MakeSetup(data);
   const std::vector<EstimatorConfig> configs = {
       ConfigWithBins(EstimatorKind::kEquiWidth, 16)};
 
-  LiveSweepOptions options;
-  options.ingest_rows = MakeRows(400, 21);
+  // Register, ingest, refresh, then score whatever generation serves.
+  const std::vector<double> ingest_rows = MakeRows(400, 21);
   LiveStatisticsServer server(InlineOptions());
-  const auto live = RunConfigsLive(server, "d", "x", setup, configs, options);
+  ASSERT_TRUE(
+      server.RegisterColumn("d", "x", kDomain, configs[0], setup.sample).ok());
+  ASSERT_TRUE(server.Ingest("d", "x", ingest_rows).ok());
+  ASSERT_TRUE(server.Refresh("d", "x").ok());
+  const std::vector<ResolvedEstimator> served = {
+      server.CurrentEstimator("d", "x")};
+  const auto live = RunSweep(setup, served);
   ASSERT_EQ(live.size(), 1u);
   ASSERT_TRUE(live[0].ok());
 
   // The scored generation is the refreshed one: equi-width folds being
   // exact, its report equals evaluating a build over sample ∪ ingest.
   std::vector<double> all(setup.sample.begin(), setup.sample.end());
-  all.insert(all.end(), options.ingest_rows.begin(),
-             options.ingest_rows.end());
+  all.insert(all.end(), ingest_rows.begin(), ingest_rows.end());
   auto whole = BuildEstimator(all, kDomain, configs[0]);
   ASSERT_TRUE(whole.ok());
   const GroundTruth truth(data);
@@ -388,8 +366,17 @@ TEST(RunConfigsLiveTest, BadConfigYieldsErrorCellInOrder) {
   const std::vector<EstimatorConfig> configs = {
       ConfigWithBins(EstimatorKind::kEquiWidth, 16), bad,
       ConfigWithBins(EstimatorKind::kEquiDepth, 16)};
+  // Each config re-registers the one (relation, attribute) slot; a config
+  // that cannot register becomes an error cell in its place.
   LiveStatisticsServer server(InlineOptions());
-  const auto live = RunConfigsLive(server, "d", "x", setup, configs, {});
+  std::vector<ResolvedEstimator> served;
+  for (const EstimatorConfig& config : configs) {
+    const Status registered =
+        server.RegisterColumn("d", "x", kDomain, config, setup.sample);
+    served.push_back(registered.ok() ? server.CurrentEstimator("d", "x")
+                                     : ResolvedEstimator(registered));
+  }
+  const auto live = RunSweep(setup, served);
   ASSERT_EQ(live.size(), 3u);
   EXPECT_TRUE(live[0].ok());
   EXPECT_FALSE(live[1].ok());
