@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/data/io.h"
@@ -35,9 +37,19 @@ struct LiveStatisticsServer::Column {
   const EstimatorConfig config;
   const CatalogKey key;
 
-  // The served generation. Readers load once and answer entirely from the
-  // loaded generation; the old one stays alive while they hold it.
-  std::atomic<std::shared_ptr<const LiveGeneration>> current;
+  // The served generation. Readers load it once under an EpochGuard and
+  // answer entirely from the loaded generation; Publish retires the
+  // superseded one through the server's EpochDomain, so it outlives every
+  // reader pinned before the flip.
+  std::atomic<const LiveGeneration*> current{nullptr};
+  // Owns `current` for the writer side, CurrentGeneration and history.
+  mutable std::mutex generation_mutex;
+  std::shared_ptr<const LiveGeneration> generation;
+
+  std::shared_ptr<const LiveGeneration> CurrentGeneration() const {
+    std::lock_guard<std::mutex> lock(generation_mutex);
+    return generation;
+  }
 
   std::mutex ingest_mutex;
   // Mergeable clone of the registration build; null when the estimator
@@ -88,6 +100,49 @@ struct LiveStatisticsServer::Column {
   std::vector<std::shared_ptr<const LiveGeneration>> history;
 };
 
+namespace {
+
+using ColumnName = std::pair<std::string_view, std::string_view>;
+
+struct ColumnNameHash {
+  using is_transparent = void;
+  size_t operator()(ColumnName name) const {
+    const size_t relation = std::hash<std::string_view>{}(name.first);
+    const size_t attribute = std::hash<std::string_view>{}(name.second);
+    return relation ^ (attribute + 0x9e3779b97f4a7c15ULL + (relation << 6) +
+                       (relation >> 2));
+  }
+};
+
+struct ColumnNameEqual {
+  using is_transparent = void;
+  bool operator()(ColumnName a, ColumnName b) const { return a == b; }
+};
+
+Status NotRegisteredError(std::string_view relation,
+                          std::string_view attribute) {
+  return NotFoundError("no live registration for " + std::string(relation) +
+                       "." + std::string(attribute));
+}
+
+}  // namespace
+
+// Keyed by (relation, attribute) with transparent hashing, so a lookup by
+// string_view builds no key. Never mutated once published.
+struct LiveStatisticsServer::Registry {
+  std::unordered_map<std::pair<std::string, std::string>,
+                     std::shared_ptr<Column>, ColumnNameHash,
+                     ColumnNameEqual>
+      columns;
+
+  // The registered column's entry, or nullptr.
+  const std::shared_ptr<Column>* Find(std::string_view relation,
+                                      std::string_view attribute) const {
+    const auto it = columns.find(ColumnName{relation, attribute});
+    return it == columns.end() ? nullptr : &it->second;
+  }
+};
+
 const char* ServerHealthName(ServerHealth health) {
   switch (health) {
     case ServerHealth::kHealthy:
@@ -106,13 +161,20 @@ std::string LiveStatisticsServer::WalDirectoryFor(const std::string& wal_root,
 }
 
 LiveStatisticsServer::LiveStatisticsServer(LiveServerOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)),
+      registry_owner_(std::make_shared<const Registry>()) {
+  registry_.store(registry_owner_.get());
   if (!options_.snapshot_directory.empty()) {
     store_.emplace(options_.snapshot_directory);
   }
 }
 
-LiveStatisticsServer::~LiveStatisticsServer() { WaitForRefreshes(); }
+LiveStatisticsServer::~LiveStatisticsServer() {
+  WaitForRefreshes();
+  // No reader may still be inside this server; free the retirees (replaced
+  // columns first, flushing their logs) before the live registry goes.
+  epoch_.Drain();
+}
 
 uint64_t LiveStatisticsServer::Now() const {
   if (options_.clock) return options_.clock();
@@ -124,9 +186,24 @@ uint64_t LiveStatisticsServer::Now() const {
 
 std::shared_ptr<LiveStatisticsServer::Column> LiveStatisticsServer::FindColumn(
     const std::string& relation, const std::string& attribute) const {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  const auto it = columns_.find(std::make_pair(relation, attribute));
-  return it == columns_.end() ? nullptr : it->second;
+  const EpochGuard pin;
+  const std::shared_ptr<Column>* entry =
+      registry_.load()->Find(relation, attribute);
+  return entry == nullptr ? nullptr : *entry;
+}
+
+void LiveStatisticsServer::InstallColumn(std::shared_ptr<Column> column) {
+  std::shared_ptr<const Registry> superseded;
+  {
+    std::lock_guard<std::mutex> lock(registry_mutex_);
+    auto next = std::make_shared<Registry>(*registry_owner_);
+    next->columns.insert_or_assign(
+        std::make_pair(column->relation, column->attribute),
+        std::move(column));
+    registry_.store(next.get());
+    superseded = std::exchange(registry_owner_, std::move(next));
+  }
+  epoch_.Retire(std::move(superseded));
 }
 
 Status LiveStatisticsServer::RegisterColumn(const std::string& relation,
@@ -179,10 +256,7 @@ Status LiveStatisticsServer::RegisterColumn(const std::string& relation,
   const uint64_t covered =
       column->wal != nullptr ? column->wal->last_sequence() : 0;
   Publish(column, std::move(generation), covered);
-
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  columns_.insert_or_assign(std::make_pair(relation, attribute),
-                            std::move(column));
+  InstallColumn(std::move(column));
   return Status::Ok();
 }
 
@@ -250,10 +324,7 @@ Status LiveStatisticsServer::RecoverColumn(const std::string& relation,
   generation->rows_at_build = recovered.total_rows;
   generation->merged = merged;
   Publish(column, std::move(generation), recovered.last_sequence);
-
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  columns_.insert_or_assign(std::make_pair(relation, attribute),
-                            std::move(column));
+  InstallColumn(std::move(column));
   return Status::Ok();
 }
 
@@ -261,7 +332,13 @@ void LiveStatisticsServer::Publish(
     const std::shared_ptr<Column>& column,
     std::shared_ptr<const LiveGeneration> generation,
     uint64_t covered_sequence) {
-  column->current.store(generation);
+  std::shared_ptr<const LiveGeneration> superseded;
+  {
+    std::lock_guard<std::mutex> lock(column->generation_mutex);
+    column->current.store(generation.get());
+    superseded = std::exchange(column->generation, generation);
+  }
+  epoch_.Retire(std::move(superseded));
   column->ttl_anchor_ticks.store(generation->built_at_ticks,
                                  std::memory_order_relaxed);
   if (options_.keep_generation_history) {
@@ -310,10 +387,7 @@ Status LiveStatisticsServer::Ingest(const std::string& relation,
                                     const std::string& attribute,
                                     std::span<const double> rows) {
   const std::shared_ptr<Column> column = FindColumn(relation, attribute);
-  if (column == nullptr) {
-    return NotFoundError("no live registration for " + relation + "." +
-                         attribute);
-  }
+  if (column == nullptr) return NotRegisteredError(relation, attribute);
   if (rows.empty()) return Status::Ok();
   if (column->health.load(std::memory_order_relaxed) ==
       ServerHealth::kReadOnly) {
@@ -355,11 +429,13 @@ Status LiveStatisticsServer::Ingest(const std::string& relation,
     threshold_hit = options_.refresh_ingest_rows > 0 &&
                     since >= options_.refresh_ingest_rows;
   }
-  if (threshold_hit) {
-    SELEST_RETURN_IF_ERROR(
-        MaybeTriggerRefresh(column, &column->threshold_refreshes));
+  if (threshold_hit &&
+      ClaimRefresh(*column, &column->threshold_refreshes)) {
+    SELEST_RETURN_IF_ERROR(RunClaimedRefresh(column));
   }
-  CheckStaleness(column);
+  // Fire-and-forget: a failed inline TTL refresh is already counted in
+  // refresh_errors and must not fail the ingest that noticed it.
+  if (CheckStaleness(*column)) (void)RunClaimedRefresh(column);
   return Status::Ok();
 }
 
@@ -384,31 +460,53 @@ StatusOr<uint64_t> LiveStatisticsServer::IngestFromSource(
   return rows;
 }
 
+bool LiveStatisticsServer::Serve(std::string_view relation,
+                                 std::string_view attribute,
+                                 const RangeQuery& query,
+                                 ServedEstimate& served) {
+  std::shared_ptr<Column> stale;
+  {
+    // One pin covers the lookup, the generation load and the kernel call:
+    // neither the registry snapshot, the column nor the generation can be
+    // freed before it ends.
+    const EpochGuard pin;
+    const std::shared_ptr<Column>* entry =
+        registry_.load()->Find(relation, attribute);
+    if (entry == nullptr) return false;
+    Column& column = **entry;
+    // One load; value and generation number come from the same epoch even
+    // if a flip lands mid-call.
+    const LiveGeneration& generation = *column.current.load();
+    served.value = generation.estimator->EstimateSelectivity(query);
+    served.generation = generation.number;
+    column.serves.fetch_add(1, std::memory_order_relaxed);
+    // The only refcount a serve may take: a claimed TTL refresh keeps the
+    // column alive past the pin.
+    if (CheckStaleness(column)) stale = *entry;
+  }
+  // Fire-and-forget, as in Ingest: a failed inline TTL refresh is counted
+  // and must not fail the serve that noticed it.
+  if (stale != nullptr) (void)RunClaimedRefresh(std::move(stale));
+  return true;
+}
+
 StatusOr<double> LiveStatisticsServer::Estimate(const std::string& relation,
                                                 const std::string& attribute,
                                                 const RangeQuery& query) {
-  SELEST_ASSIGN_OR_RETURN(const ServedEstimate served,
-                          EstimateDetailed(relation, attribute, query));
+  ServedEstimate served;
+  if (!Serve(relation, attribute, query, served)) {
+    return NotRegisteredError(relation, attribute);
+  }
   return served.value;
 }
 
 StatusOr<ServedEstimate> LiveStatisticsServer::EstimateDetailed(
     const std::string& relation, const std::string& attribute,
     const RangeQuery& query) {
-  const std::shared_ptr<Column> column = FindColumn(relation, attribute);
-  if (column == nullptr) {
-    return NotFoundError("no live registration for " + relation + "." +
-                         attribute);
-  }
-  // One load; value and generation number come from the same epoch even if
-  // a flip lands mid-call.
-  const std::shared_ptr<const LiveGeneration> generation =
-      column->current.load();
   ServedEstimate served;
-  served.value = generation->estimator->EstimateSelectivity(query);
-  served.generation = generation->number;
-  column->serves.fetch_add(1, std::memory_order_relaxed);
-  CheckStaleness(column);
+  if (!Serve(relation, attribute, query, served)) {
+    return NotRegisteredError(relation, attribute);
+  }
   return served;
 }
 
@@ -416,10 +514,7 @@ StatusOr<IntervalEstimate> LiveStatisticsServer::OnlineEstimate(
     const std::string& relation, const std::string& attribute,
     const RangeQuery& query) {
   const std::shared_ptr<Column> column = FindColumn(relation, attribute);
-  if (column == nullptr) {
-    return NotFoundError("no live registration for " + relation + "." +
-                         attribute);
-  }
+  if (column == nullptr) return NotRegisteredError(relation, attribute);
   std::lock_guard<std::mutex> lock(column->ingest_mutex);
   return column->online.Estimate(query);
 }
@@ -451,34 +546,35 @@ void LiveStatisticsServer::NoteWalResult(
   }
 }
 
-void LiveStatisticsServer::CheckStaleness(
-    const std::shared_ptr<Column>& column) {
-  if (options_.ttl_ticks == 0) return;
+bool LiveStatisticsServer::CheckStaleness(Column& column) {
+  if (options_.ttl_ticks == 0) return false;
   const uint64_t now = Now();
   const uint64_t anchor =
-      column->ttl_anchor_ticks.load(std::memory_order_relaxed);
+      column.ttl_anchor_ticks.load(std::memory_order_relaxed);
   if (now < anchor) {
     // The clock stepped backwards past the anchor (an injected fake, NTP,
     // a suspend glitch). `now - anchor` would wrap to an enormous age and
     // fire spuriously; never re-anchoring would wedge the TTL until the
     // clock catches back up. Re-anchor at the new "now": the TTL restarts
     // from here and fires after a full honest interval.
-    column->ttl_anchor_ticks.store(now, std::memory_order_relaxed);
-    return;
+    column.ttl_anchor_ticks.store(now, std::memory_order_relaxed);
+    return false;
   }
-  if (now - anchor < options_.ttl_ticks) return;
-  // Fire-and-forget: a failed inline TTL refresh is already counted in
-  // refresh_errors and must not fail the serve that noticed it.
-  (void)MaybeTriggerRefresh(column, &column->ttl_refreshes);
+  if (now - anchor < options_.ttl_ticks) return false;
+  return ClaimRefresh(column, &column.ttl_refreshes);
 }
 
-Status LiveStatisticsServer::MaybeTriggerRefresh(
-    const std::shared_ptr<Column>& column,
-    std::atomic<uint64_t>* trigger_counter) {
-  if (column->refresh_in_flight.exchange(true)) return Status::Ok();
+bool LiveStatisticsServer::ClaimRefresh(
+    Column& column, std::atomic<uint64_t>* trigger_counter) {
+  if (column.refresh_in_flight.exchange(true)) return false;
   if (trigger_counter != nullptr) {
     trigger_counter->fetch_add(1, std::memory_order_relaxed);
   }
+  return true;
+}
+
+Status LiveStatisticsServer::RunClaimedRefresh(
+    std::shared_ptr<Column> column) {
   if (!options_.background_refresh) {
     const Status status = DoRefresh(column);
     column->refresh_in_flight.store(false);
@@ -490,7 +586,7 @@ Status LiveStatisticsServer::MaybeTriggerRefresh(
   }
   ThreadPool* pool =
       options_.pool != nullptr ? options_.pool : &ThreadPool::Default();
-  pool->Schedule([this, column]() {
+  pool->Schedule([this, column = std::move(column)]() {
     (void)DoRefresh(column);
     column->refresh_in_flight.store(false);
     std::lock_guard<std::mutex> lock(refresh_mutex_);
@@ -503,10 +599,7 @@ Status LiveStatisticsServer::MaybeTriggerRefresh(
 Status LiveStatisticsServer::Refresh(const std::string& relation,
                                      const std::string& attribute) {
   const std::shared_ptr<Column> column = FindColumn(relation, attribute);
-  if (column == nullptr) {
-    return NotFoundError("no live registration for " + relation + "." +
-                         attribute);
-  }
+  if (column == nullptr) return NotRegisteredError(relation, attribute);
   // Wait out any in-flight refresh, then run ours inline: the caller asked
   // for a flip that reflects everything ingested before this call.
   while (column->refresh_in_flight.exchange(true)) std::this_thread::yield();
@@ -569,7 +662,7 @@ Status LiveStatisticsServer::DoRefresh(const std::shared_ptr<Column>& column) {
     auto generation = std::make_shared<LiveGeneration>();
     generation->estimator =
         std::shared_ptr<const SelectivityEstimator>(std::move(next));
-    generation->number = column->current.load()->number + 1;
+    generation->number = column->CurrentGeneration()->number + 1;
     generation->built_at_ticks = Now();
     generation->rows_at_build = rows_at_build;
     generation->merged = merged;
@@ -617,11 +710,8 @@ StatusOr<std::shared_ptr<const LiveGeneration>>
 LiveStatisticsServer::CurrentGeneration(const std::string& relation,
                                         const std::string& attribute) const {
   const std::shared_ptr<Column> column = FindColumn(relation, attribute);
-  if (column == nullptr) {
-    return NotFoundError("no live registration for " + relation + "." +
-                         attribute);
-  }
-  return column->current.load();
+  if (column == nullptr) return NotRegisteredError(relation, attribute);
+  return column->CurrentGeneration();
 }
 
 StatusOr<std::vector<std::shared_ptr<const LiveGeneration>>>
@@ -633,10 +723,7 @@ LiveStatisticsServer::GenerationHistory(const std::string& relation,
         "keep_generation_history");
   }
   const std::shared_ptr<Column> column = FindColumn(relation, attribute);
-  if (column == nullptr) {
-    return NotFoundError("no live registration for " + relation + "." +
-                         attribute);
-  }
+  if (column == nullptr) return NotRegisteredError(relation, attribute);
   std::lock_guard<std::mutex> lock(column->history_mutex);
   return column->history;
 }
@@ -644,12 +731,9 @@ LiveStatisticsServer::GenerationHistory(const std::string& relation,
 StatusOr<LiveColumnStats> LiveStatisticsServer::ColumnStats(
     const std::string& relation, const std::string& attribute) const {
   const std::shared_ptr<Column> column = FindColumn(relation, attribute);
-  if (column == nullptr) {
-    return NotFoundError("no live registration for " + relation + "." +
-                         attribute);
-  }
+  if (column == nullptr) return NotRegisteredError(relation, attribute);
   LiveColumnStats stats;
-  stats.generation = column->current.load()->number;
+  stats.generation = column->CurrentGeneration()->number;
   stats.serves = column->serves.load(std::memory_order_relaxed);
   stats.ingested_rows =
       column->ingested_rows.load(std::memory_order_relaxed);
@@ -694,19 +778,16 @@ StatusOr<LiveColumnStats> LiveStatisticsServer::ColumnStats(
 Status LiveStatisticsServer::ResetColumnHealth(const std::string& relation,
                                                const std::string& attribute) {
   const std::shared_ptr<Column> column = FindColumn(relation, attribute);
-  if (column == nullptr) {
-    return NotFoundError("no live registration for " + relation + "." +
-                         attribute);
-  }
+  if (column == nullptr) return NotRegisteredError(relation, attribute);
   column->consecutive_wal_failures.store(0, std::memory_order_relaxed);
   column->health.store(ServerHealth::kHealthy, std::memory_order_relaxed);
   return Status::Ok();
 }
 
 ServerHealth LiveStatisticsServer::Health() const {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
+  const EpochGuard pin;
   ServerHealth worst = ServerHealth::kHealthy;
-  for (const auto& [name, column] : columns_) {
+  for (const auto& [name, column] : registry_.load()->columns) {
     const ServerHealth health =
         column->health.load(std::memory_order_relaxed);
     if (static_cast<int>(health) > static_cast<int>(worst)) worst = health;
@@ -716,12 +797,13 @@ ServerHealth LiveStatisticsServer::Health() const {
 
 bool LiveStatisticsServer::HasColumn(const std::string& relation,
                                      const std::string& attribute) const {
-  return FindColumn(relation, attribute) != nullptr;
+  const EpochGuard pin;
+  return registry_.load()->Find(relation, attribute) != nullptr;
 }
 
 size_t LiveStatisticsServer::num_columns() const {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  return columns_.size();
+  const EpochGuard pin;
+  return registry_.load()->columns.size();
 }
 
 }  // namespace selest

@@ -6,9 +6,11 @@
 // readers ever blocking on a rebuild. Per column it maintains
 //
 //   * a served *generation*: an immutable estimator published through an
-//     atomic shared_ptr. Readers load the pointer, answer from that
-//     generation, and are never torn across a refresh (RCU-style: the old
-//     generation stays alive as long as any reader holds it);
+//     atomic raw pointer. Readers pin an epoch (exec/epoch.h), load the
+//     pointer once, answer from that generation, and are never torn
+//     across a refresh; a superseded generation is retired and freed once
+//     no pinned reader can still see it (callers of CurrentGeneration
+//     keep theirs alive through shared ownership);
 //   * an ingest-side accumulator, private to the server and guarded by an
 //     ingest mutex: a mergeable clone of the estimator that new rows fold
 //     into without a full rebuild (MergeFrom/FoldRows, est/), a decaying
@@ -38,13 +40,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "src/catalog/snapshot_store.h"
@@ -53,6 +54,7 @@
 #include "src/durability/recovery_manager.h"
 #include "src/durability/wal.h"
 #include "src/est/estimator_factory.h"
+#include "src/exec/epoch.h"
 #include "src/exec/thread_pool.h"
 #include "src/online/online_estimator.h"
 #include "src/query/range_query.h"
@@ -234,9 +236,10 @@ class LiveStatisticsServer {
                                       const std::string& attribute,
                                       ColumnSource& source);
 
-  // Serve-path estimate from the current generation. Never blocks on a
-  // refresh: the generation pointer is loaded atomically and the answer is
-  // computed entirely from that generation.
+  // Serve-path estimate from the current generation. Takes no lock,
+  // touches no refcount and allocates nothing on success: inside one epoch
+  // pin it looks the column up in the published registry snapshot, loads
+  // the generation pointer once and answers entirely from that generation.
   StatusOr<double> Estimate(const std::string& relation,
                             const std::string& attribute,
                             const RangeQuery& query);
@@ -305,36 +308,56 @@ class LiveStatisticsServer {
 
  private:
   struct Column;
+  // An immutable name → column map; see live_server.cc.
+  struct Registry;
 
   std::shared_ptr<Column> FindColumn(const std::string& relation,
                                      const std::string& attribute) const;
+  // Copy-on-write: publishes a registry snapshot with `column` added or
+  // replacing the same name, and retires the superseded snapshot (and with
+  // it any replaced column).
+  void InstallColumn(std::shared_ptr<Column> column);
+  // The serve path shared by Estimate and EstimateDetailed; false when the
+  // column is not registered.
+  bool Serve(std::string_view relation, std::string_view attribute,
+             const RangeQuery& query, ServedEstimate& served);
   uint64_t Now() const;
-  // Starts a refresh unless one is already running (coalescing).
-  // `trigger_counter` (may be null) is bumped only when this call actually
-  // claims the refresh, so policy counters count refreshes started, not
-  // every serve that noticed staleness. Returns the refresh status when
-  // run inline, OK when scheduled or coalesced.
-  Status MaybeTriggerRefresh(const std::shared_ptr<Column>& column,
-                             std::atomic<uint64_t>* trigger_counter);
+  // Claims the column's refresh unless one is already running
+  // (coalescing). `trigger_counter` (may be null) is bumped only when this
+  // call actually claims the refresh, so policy counters count refreshes
+  // started, not every serve that noticed staleness.
+  bool ClaimRefresh(Column& column, std::atomic<uint64_t>* trigger_counter);
+  // Runs a claimed refresh inline, or schedules it on the pool, and
+  // releases the claim when it ends. Returns the refresh status when run
+  // inline, OK when scheduled.
+  Status RunClaimedRefresh(std::shared_ptr<Column> column);
   // The refresh body: produce the next generation (with retry), flip,
   // write back.
   Status DoRefresh(const std::shared_ptr<Column>& column);
-  // Atomically flips the column to `generation` and persists it (snapshot
-  // write-back with retry, then a WAL snapshot mark covering
-  // `covered_sequence`).
+  // Atomically flips the column to `generation`, retires the superseded
+  // one, and persists the new one (snapshot write-back with retry, then a
+  // WAL snapshot mark covering `covered_sequence`).
   void Publish(const std::shared_ptr<Column>& column,
                std::shared_ptr<const LiveGeneration> generation,
                uint64_t covered_sequence);
-  void CheckStaleness(const std::shared_ptr<Column>& column);
+  // True when the served generation has outlived `ttl_ticks` and this call
+  // claimed its refresh; the caller then runs it with RunClaimedRefresh.
+  bool CheckStaleness(Column& column);
   // Health transitions for a WAL write outcome.
   void NoteWalResult(const std::shared_ptr<Column>& column, bool ok);
 
   LiveServerOptions options_;
   std::optional<SnapshotStore> store_;
 
-  mutable std::mutex registry_mutex_;
-  std::map<std::pair<std::string, std::string>, std::shared_ptr<Column>>
-      columns_;
+  // Superseded registry snapshots (with the columns they alone held) and
+  // superseded generations.
+  EpochDomain epoch_;
+  // The published registry. Readers load `registry_` under an EpochGuard;
+  // `registry_owner_` owns it and changes only under the writer-only
+  // `registry_mutex_`.
+  std::atomic<const Registry*> registry_{nullptr};
+  std::mutex registry_mutex_;
+  std::shared_ptr<const Registry> registry_owner_;
 
   // Background refresh accounting for WaitForRefreshes / the destructor.
   mutable std::mutex refresh_mutex_;

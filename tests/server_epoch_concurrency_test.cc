@@ -1,12 +1,22 @@
 // Concurrency tests for the epoch swap: reader threads hammer the serve
-// path while refreshes flip generations underneath them, and every served
-// answer must be bit-identical to *some* published generation — never a
-// torn mix of two. Runs under tsan via the `server` label, which also
-// proves the generation flip itself (atomic shared_ptr store vs concurrent
-// loads) race-free.
+// path while refreshes flip generations and registrations replace columns
+// underneath them, and every served answer must be bit-identical to *some*
+// published generation — never a torn mix of two. The serve path takes no
+// lock and no refcount: it pins an epoch (exec/epoch.h), loads the
+// published registry snapshot and the column's generation pointer, and
+// answers; superseded snapshots, replaced columns and superseded
+// generations are retired and freed once no pinned reader can see them.
+// Runs under tsan and asan-ubsan via the `server` label, so a premature
+// free of any of them is a use-after-free or race report. The reclamation
+// tests pin the other half of the rule: with no reader pinned, what a
+// flip or a re-registration retires is freed before the call returns.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +24,7 @@
 #include "src/catalog/live_server.h"
 #include "src/data/domain.h"
 #include "src/est/estimator_factory.h"
+#include "src/exec/epoch.h"
 #include "src/query/range_query.h"
 #include "src/util/random.h"
 
@@ -207,6 +218,186 @@ TEST(EpochConcurrencyTest, OldGenerationSurvivesWhileHeld) {
   auto current = server.CurrentGeneration("t", "x");
   ASSERT_TRUE(current.ok());
   EXPECT_EQ(current.value()->number, 6u);
+}
+
+// Readers serve column X while a writer replaces X's column (re-registration
+// with a different sample and bin count), registers fresh columns Y0..Yn
+// (each a new registry snapshot), and ingests into and refreshes X. Every
+// answer must be bit-identical to one of X's published builds with the
+// same generation number.
+TEST(EpochConcurrencyTest, ServingSurvivesColumnReplacementAndRegistration) {
+  LiveServerOptions options;
+  options.background_refresh = false;
+  LiveStatisticsServer server(std::move(options));
+  const std::vector<RangeQuery> queries = ProbeQueries();
+  // Every (generation number, query, answer) a published build of t.x
+  // produces. The builds themselves are not kept, so each superseded
+  // generation is freed while the readers run.
+  std::vector<std::tuple<uint64_t, size_t, double>> producible;
+  const auto capture = [&]() {
+    auto current = server.CurrentGeneration("t", "x");
+    ASSERT_TRUE(current.ok());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      producible.emplace_back(
+          current.value()->number, q,
+          current.value()->estimator->EstimateSelectivity(queries[q]));
+    }
+  };
+  ASSERT_TRUE(server
+                  .RegisterColumn("t", "x", kDomain,
+                                  ConfigWithBins(EstimatorKind::kEquiWidth, 16),
+                                  MakeRows(500, 7))
+                  .ok());
+  capture();
+
+  constexpr size_t kReaders = 3;
+  constexpr size_t kReadsPerReader = 3000;
+  constexpr size_t kRounds = 48;
+
+  std::atomic<bool> start{false};
+  std::atomic<bool> writer_done{false};
+  std::vector<std::vector<Observation>> observations(kReaders);
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    observations[r].reserve(kReadsPerReader);
+    readers.emplace_back([&, r]() {
+      while (!start.load()) std::this_thread::yield();
+      // Keep serving until the writer is done, so reads overlap every
+      // replacement, registration and refresh.
+      for (size_t i = 0; i < kReadsPerReader || !writer_done.load(); ++i) {
+        const size_t q = (r * 5 + i) % queries.size();
+        auto served = server.EstimateDetailed("t", "x", queries[q]);
+        ASSERT_TRUE(served.ok());
+        observations[r].push_back(
+            {q, served.value().value, served.value().generation});
+      }
+    });
+  }
+
+  // A failed ASSERT returns from `write`; the readers still stop.
+  const auto write = [&]() {
+    for (size_t round = 0; round < kRounds; ++round) {
+      const int bins = 8 + 4 * static_cast<int>(round % 3);
+      ASSERT_TRUE(server
+                      .RegisterColumn(
+                          "t", "x", kDomain,
+                          ConfigWithBins(EstimatorKind::kEquiWidth, bins),
+                          MakeRows(400 + 20 * round, 300 + round))
+                      .ok());
+      capture();
+      ASSERT_TRUE(server
+                      .RegisterColumn(
+                          "t", "y" + std::to_string(round), kDomain,
+                          ConfigWithBins(EstimatorKind::kEquiDepth, 8),
+                          MakeRows(200, 500 + round))
+                      .ok());
+      ASSERT_TRUE(server.Ingest("t", "x", MakeRows(60, 700 + round)).ok());
+      ASSERT_TRUE(server.Refresh("t", "x").ok());
+      capture();
+    }
+  };
+  std::thread writer([&]() {
+    start.store(true);
+    write();
+    writer_done.store(true);
+  });
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(server.num_columns(), kRounds + 1);
+
+  std::sort(producible.begin(), producible.end());
+  size_t replayed = 0;
+  for (const auto& per_reader : observations) {
+    for (const Observation& seen : per_reader) {
+      EXPECT_TRUE(std::binary_search(
+          producible.begin(), producible.end(),
+          std::make_tuple(seen.generation, seen.query, seen.value)))
+          << "reader observed " << seen.value << " at generation "
+          << seen.generation << ", produced by no published build of t.x";
+      ++replayed;
+    }
+  }
+  EXPECT_GE(replayed, kReaders * kReadsPerReader);
+}
+
+// With no reader pinned, the generation a refresh supersedes is freed
+// inside that refresh: once the caller drops its own copy, nothing else
+// holds it.
+TEST(EpochReclamationTest, SupersededGenerationIsFreedByTheNextRefresh) {
+  LiveServerOptions options;
+  options.background_refresh = false;
+  LiveStatisticsServer server(std::move(options));
+  ASSERT_TRUE(server
+                  .RegisterColumn("t", "x", kDomain,
+                                  ConfigWithBins(EstimatorKind::kEquiWidth, 8),
+                                  MakeRows(300, 11))
+                  .ok());
+  std::weak_ptr<const LiveGeneration> watch;
+  std::weak_ptr<const SelectivityEstimator> watch_estimator;
+  {
+    auto current = server.CurrentGeneration("t", "x");
+    ASSERT_TRUE(current.ok());
+    watch = current.value();
+    watch_estimator = current.value()->estimator;
+  }
+  ASSERT_FALSE(watch.expired());
+  ASSERT_TRUE(server.Ingest("t", "x", MakeRows(40, 12)).ok());
+  ASSERT_TRUE(server.Refresh("t", "x").ok());
+  EXPECT_TRUE(watch.expired());
+  EXPECT_TRUE(watch_estimator.expired());
+}
+
+// A reader pinned across the flip could still hold the old generation: it
+// survives until that reader unpins and a later retire reclaims it.
+TEST(EpochReclamationTest, PinnedReaderKeepsSupersededGenerationAlive) {
+  LiveServerOptions options;
+  options.background_refresh = false;
+  LiveStatisticsServer server(std::move(options));
+  ASSERT_TRUE(server
+                  .RegisterColumn("t", "x", kDomain,
+                                  ConfigWithBins(EstimatorKind::kEquiWidth, 8),
+                                  MakeRows(300, 13))
+                  .ok());
+  std::weak_ptr<const LiveGeneration> watch;
+  {
+    auto current = server.CurrentGeneration("t", "x");
+    ASSERT_TRUE(current.ok());
+    watch = current.value();
+  }
+  {
+    const EpochGuard pin;
+    ASSERT_TRUE(server.Refresh("t", "x").ok());
+    EXPECT_FALSE(watch.expired());
+  }
+  ASSERT_TRUE(server.Refresh("t", "x").ok());
+  EXPECT_TRUE(watch.expired());
+}
+
+// Re-registering a column replaces its Column object; with no reader
+// pinned, the replaced column — and the generation only it owned — is
+// freed before RegisterColumn returns.
+TEST(EpochReclamationTest, ReplacedColumnIsFreedInsideRegisterColumn) {
+  LiveServerOptions options;
+  options.background_refresh = false;
+  LiveStatisticsServer server(std::move(options));
+  const EstimatorConfig config = ConfigWithBins(EstimatorKind::kEquiWidth, 8);
+  ASSERT_TRUE(
+      server.RegisterColumn("t", "x", kDomain, config, MakeRows(300, 14))
+          .ok());
+  std::weak_ptr<const LiveGeneration> watch;
+  {
+    auto current = server.CurrentGeneration("t", "x");
+    ASSERT_TRUE(current.ok());
+    watch = current.value();
+  }
+  ASSERT_TRUE(
+      server.RegisterColumn("t", "x", kDomain, config, MakeRows(300, 15))
+          .ok());
+  EXPECT_TRUE(watch.expired());
+  auto replacement = server.CurrentGeneration("t", "x");
+  ASSERT_TRUE(replacement.ok());
+  EXPECT_EQ(replacement.value()->number, 1u);
+  EXPECT_EQ(server.num_columns(), 1u);
 }
 
 }  // namespace
