@@ -28,8 +28,7 @@ struct LiveStatisticsServer::Column {
         config(column_config),
         key(std::move(column_key)),
         reservoir(options.reservoir_capacity, options.reservoir_decay,
-                  options.seed ^ column_key.fingerprint),
-        online(column_domain) {}
+                  options.seed ^ column_key.fingerprint) {}
 
   const std::string relation;
   const std::string attribute;
@@ -56,8 +55,9 @@ struct LiveStatisticsServer::Column {
   // kind does not support FoldRows (refreshes then rebuild from the
   // reservoir).
   std::unique_ptr<SelectivityEstimator> accumulator;
+  // Bounded uniform sample of every row: rebuilds non-mergeable kinds and
+  // answers OnlineEstimate.
   DecayingReservoir reservoir;
-  OnlineSelectivityEstimator online;
   uint64_t total_rows = 0;  // registration rows + accepted ingest rows
   // Durable ingest log; null when LiveServerOptions::wal_directory is
   // empty. Guarded by ingest_mutex like the rest of the ingest side.
@@ -223,10 +223,9 @@ Status LiveStatisticsServer::RegisterColumn(const std::string& relation,
       relation, attribute, domain, config,
       CatalogKey{relation, attribute, FingerprintConfig(config)}, options_);
   if (built->SupportsMerge()) {
-    // A second deterministic build of the same inputs gives the private
-    // mutable accumulator; the first stays immutable and gets served.
-    SELEST_ASSIGN_OR_RETURN(column->accumulator,
-                            BuildEstimator(initial_rows, domain, config));
+    // A clone of the build is the private mutable accumulator; the build
+    // itself stays immutable and gets served.
+    SELEST_ASSIGN_OR_RETURN(column->accumulator, CloneEstimator(*built));
   }
   if (!options_.wal_directory.empty()) {
     // A fresh registration replaces the column's durable history: reset
@@ -243,7 +242,6 @@ Status LiveStatisticsServer::RegisterColumn(const std::string& relation,
     SELEST_RETURN_IF_ERROR(column->wal->Sync());
   }
   column->reservoir.AddBatch(initial_rows);
-  column->online.AddSamples(initial_rows);
   column->total_rows = initial_rows.size();
 
   auto generation = std::make_shared<LiveGeneration>();
@@ -278,7 +276,7 @@ Status LiveStatisticsServer::RecoverColumn(const std::string& relation,
       std::unique_ptr<WriteAheadLog> wal,
       WriteAheadLog::Open(WalDirectoryFor(options_.wal_directory, key),
                           options_.wal));
-  const RecoveryManager manager(store(), RecoveryOptions{options_.retry});
+  const RecoveryManager manager(store());
   SELEST_ASSIGN_OR_RETURN(RecoveredColumn recovered,
                           manager.Recover(key, *wal, domain, config));
 
@@ -288,21 +286,17 @@ Status LiveStatisticsServer::RecoverColumn(const std::string& relation,
   // seeded reservoir reproduces the pre-crash reservoir bit-for-bit, so
   // non-mergeable rebuilds land on the same estimator too.
   column->reservoir.AddBatch(recovered.registration_rows);
-  column->online.AddSamples(recovered.registration_rows);
   for (const std::vector<double>& batch : recovered.ingest_batches) {
     column->reservoir.AddBatch(batch);
-    column->online.AddSamples(batch);
   }
   column->total_rows = recovered.total_rows;
 
   std::unique_ptr<SelectivityEstimator> serving;
   bool merged = false;
   if (recovered.accumulator != nullptr) {
-    // Mergeable: serve a serialize-clone of the recovered accumulator —
+    // Mergeable: serve a clone of the recovered accumulator —
     // bit-identical to the pre-crash fold state over every durable row.
-    SELEST_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
-                            SnapshotEstimator(*recovered.accumulator));
-    SELEST_ASSIGN_OR_RETURN(serving, LoadEstimatorSnapshot(bytes));
+    SELEST_ASSIGN_OR_RETURN(serving, CloneEstimator(*recovered.accumulator));
     column->accumulator = std::move(recovered.accumulator);
     merged = true;
   } else {
@@ -419,7 +413,6 @@ Status LiveStatisticsServer::Ingest(const std::string& relation,
       SELEST_RETURN_IF_ERROR(column->accumulator->FoldRows(clamped));
     }
     column->reservoir.AddBatch(clamped);
-    column->online.AddSamples(clamped);
     column->total_rows += clamped.size();
     column->ingested_rows.fetch_add(clamped.size(),
                                     std::memory_order_relaxed);
@@ -515,8 +508,12 @@ StatusOr<IntervalEstimate> LiveStatisticsServer::OnlineEstimate(
     const RangeQuery& query) {
   const std::shared_ptr<Column> column = FindColumn(relation, attribute);
   if (column == nullptr) return NotRegisteredError(relation, attribute);
-  std::lock_guard<std::mutex> lock(column->ingest_mutex);
-  return column->online.Estimate(query);
+  OnlineSelectivityEstimator online(column->domain);
+  {
+    std::lock_guard<std::mutex> lock(column->ingest_mutex);
+    online.AddSamples(column->reservoir.values());
+  }
+  return online.Estimate(query);
 }
 
 void LiveStatisticsServer::NoteWalResult(

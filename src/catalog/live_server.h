@@ -11,12 +11,12 @@
 //     across a refresh; a superseded generation is retired and freed once
 //     no pinned reader can still see it (callers of CurrentGeneration
 //     keep theirs alive through shared ownership);
-//   * an ingest-side accumulator, private to the server and guarded by an
-//     ingest mutex: a mergeable clone of the estimator that new rows fold
-//     into without a full rebuild (MergeFrom/FoldRows, est/), a decaying
-//     reservoir (sample/sampler.h) feeding full rebuilds of non-mergeable
-//     estimators, and a progressive online estimator (online/) serving
-//     interval estimates between generations;
+//   * two ingest-side structures, private to the server and guarded by an
+//     ingest mutex: for equi-width, equi-depth and sampling, a clone of
+//     the estimator that new rows fold into without a full rebuild
+//     (FoldRows, est/selectivity_estimator.h); for every kind, a bounded
+//     uniform reservoir (sample/sampler.h) that rebuilds the kinds that
+//     cannot fold and answers OnlineEstimate's interval estimates;
 //   * a staleness policy: refresh after `refresh_ingest_rows` folded rows
 //     and/or when the serving generation is older than `ttl_ticks` by the
 //     injected clock, executed inline or in the background on the shared
@@ -77,8 +77,9 @@ const char* ServerHealthName(ServerHealth health);
 struct LiveServerOptions {
   // Capacity and recency bias of the per-column ingest reservoir (see
   // DecayingReservoir). Non-mergeable estimators rebuild from this
-  // reservoir on refresh; keep it at least as large as the registration
-  // sample when bit-stable refreshes of a quiet column matter.
+  // reservoir on refresh and OnlineEstimate answers from it; keep it at
+  // least as large as the registration sample when bit-stable refreshes
+  // of a quiet column matter.
   size_t reservoir_capacity = 2000;
   double reservoir_decay = 0.0;
 
@@ -120,10 +121,11 @@ struct LiveServerOptions {
   std::string wal_directory;
   WalOptions wal;
 
-  // Retry discipline for the transient-failure paths: refresh execution,
-  // snapshot write-back, and recovery's snapshot load. Only kInternal /
-  // kResourceExhausted retry; corruption and programmer errors fail fast
-  // (util/retry.h).
+  // Retry discipline for the transient-failure paths: refresh execution
+  // and snapshot write-back. Only kInternal / kResourceExhausted retry;
+  // corruption and programmer errors fail fast (util/retry.h). Recovery
+  // does not retry: a snapshot that fails to read forfeits its fast path,
+  // and full replay recovers the same state.
   RetryOptions retry;
 
   // Consecutive WAL failures before the column latches read-only.
@@ -211,10 +213,10 @@ class LiveStatisticsServer {
                        const EstimatorConfig& config);
 
   // Folds new rows into the column's ingest-side state: the mergeable
-  // accumulator (exact or bounded-drift, per estimator type), the
-  // reservoir, and the online estimator. Values are clamped to the
-  // column's domain. Returns before any triggered background refresh
-  // completes; the served generation is unchanged until the flip.
+  // accumulator (exact or bounded-drift, per estimator type) and the
+  // reservoir. Values are clamped to the column's domain. Returns before
+  // any triggered background refresh completes; the served generation is
+  // unchanged until the flip.
   Status Ingest(const std::string& relation, const std::string& attribute,
                 std::span<const double> rows);
 
@@ -251,9 +253,11 @@ class LiveStatisticsServer {
                                             const std::string& attribute,
                                             const RangeQuery& query);
 
-  // Progressive interval estimate from the ingest-side online estimator:
-  // covers rows newer than the served generation, at the cost of taking
-  // the ingest mutex.
+  // Progressive interval estimate (online/online_estimator.h) over the
+  // column's reservoir: covers rows newer than the served generation, at
+  // the cost of copying the reservoir under the ingest mutex. Until the
+  // column has seen more than reservoir_capacity rows this is an estimate
+  // over every row; past that, over a sample of reservoir_capacity.
   StatusOr<IntervalEstimate> OnlineEstimate(const std::string& relation,
                                             const std::string& attribute,
                                             const RangeQuery& query);

@@ -393,10 +393,8 @@ Status Catalog::ObserveTrueSelectivity(const CatalogKey& key,
   // estimate on another thread, so the observation lands on a private copy
   // that replaces it atomically in the cache (readers holding the old
   // shared_ptr finish against the previous state).
-  SELEST_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
-                          SnapshotEstimator(*current));
   SELEST_ASSIGN_OR_RETURN(std::unique_ptr<SelectivityEstimator> clone,
-                          LoadEstimatorSnapshot(bytes));
+                          CloneEstimator(*current));
   SELEST_RETURN_IF_ERROR(
       clone->ObserveTrueSelectivity(query, true_selectivity));
   std::shared_ptr<const SelectivityEstimator> updated = std::move(clone);

@@ -105,18 +105,6 @@ size_t BinnedDensity::StorageBytes() const {
   return sizeof(double) * (edges_.size() + counts_.size());
 }
 
-StatusOr<BinnedDensity> BinnedDensity::MergedWith(
-    const BinnedDensity& other) const {
-  if (edges_ != other.edges_) {
-    return FailedPreconditionError(
-        "histogram merge requires identical bin edges");
-  }
-  AlignedDoubles counts(counts_);
-  for (size_t i = 0; i < counts.size(); ++i) counts[i] += other.counts_[i];
-  return BinnedDensity(edges_, std::move(counts),
-                       total_count_ + other.total_count_);
-}
-
 BinnedDensity BinnedDensity::FoldedWith(std::span<const double> values) const {
   BinnedDensity folded(*this);
   for (double v : values) {

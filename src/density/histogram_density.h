@@ -70,11 +70,6 @@ class BinnedDensity {
   // persist.
   size_t StorageBytes() const;
 
-  // This histogram plus `other`, which must share the exact edge vector:
-  // counts and totals add, so the result equals bucketing the union of the
-  // two underlying samples (the live server's exact merge path).
-  StatusOr<BinnedDensity> MergedWith(const BinnedDensity& other) const;
-
   // This histogram with `values` bucketed into the existing bins (the same
   // clamping rule as FromSample) and the total raised by values.size().
   // Exact: folding rows one batch at a time equals bucketing them all at
@@ -82,7 +77,7 @@ class BinnedDensity {
   BinnedDensity FoldedWith(std::span<const double> values) const;
 
   // Cumulative mass strictly derived state: total mass at or below `x`
-  // (atoms at `x` included). Used by the equi-depth quantile merge.
+  // (atoms at `x` included). Used by the equi-depth quantile fold.
   double MassBelow(double x) const;
 
  private:

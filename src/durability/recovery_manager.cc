@@ -123,9 +123,8 @@ StatusOr<RecoveredColumn> RecoveryManager::Recover(
   }
 
   // Prove a snapshot mark against the file on disk: the newest mark whose
-  // CRC matches describes the snapshot's exact covered sequence. Loading
-  // retries transient errors only — corrupt bytes degrade straight to
-  // full replay.
+  // CRC matches describes the snapshot's exact covered sequence. A file
+  // that cannot be read or decoded degrades to full replay.
   uint64_t fold_from_sequence = 0;  // fold batches with sequence > this
   if (store_ != nullptr && !marks.empty()) {
     auto file_bytes = ReadBytesFromFile(store_->PathFor(key));
@@ -140,16 +139,9 @@ StatusOr<RecoveredColumn> RecoveryManager::Recover(
         }
       }
       if (proven != nullptr) {
-        std::unique_ptr<SelectivityEstimator> loaded;
-        const Status status = RetryWithBackoff(
-            options_.retry, [&]() -> Status {
-              auto snapshot = LoadEstimatorSnapshot(file_bytes.value());
-              if (!snapshot.ok()) return snapshot.status();
-              loaded = std::move(snapshot).value();
-              return Status::Ok();
-            });
-        if (status.ok() && loaded->SupportsMerge()) {
-          accumulator = std::move(loaded);
+        auto loaded = LoadEstimatorSnapshot(file_bytes.value());
+        if (loaded.ok() && loaded.value()->SupportsMerge()) {
+          accumulator = std::move(loaded).value();
           fold_from_sequence = proven->covered_sequence;
           recovered.used_snapshot = true;
           recovered.snapshot_sequence = proven->covered_sequence;

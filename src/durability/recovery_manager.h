@@ -10,14 +10,15 @@
 //      snapshot file actually on disk (a crash between the snapshot Put
 //      and the mark append leaves a newer file with no matching mark —
 //      the mark is then untrusted and recovery degrades to full replay);
-//   3. mergeable estimators: load the proven snapshot (with retry, since
-//      a transient read error must not force a slow full replay) and fold
-//      the ingest batches past its covered sequence — bit-identical to
-//      the pre-crash accumulator, because the snapshot round-trip is
+//   3. mergeable estimators: load the proven snapshot and fold the
+//      ingest batches past its covered sequence — bit-identical to the
+//      pre-crash accumulator, because the snapshot round-trip is
 //      bit-identical and the fold order is the original ingest order.
-//      Without a provable snapshot: rebuild from the registration rows
-//      and fold every batch (same fold sequence, same result, just
-//      slower);
+//      Without a provable snapshot — none written, a file that fails to
+//      read or decode, or no mark matching it — rebuild from the
+//      registration rows and fold every batch (same fold sequence, same
+//      result, just slower). A failed read forfeits only the fast path,
+//      so nothing is retried;
 //   4. non-mergeable estimators get no accumulator (the live server
 //      rebuilds from its reservoir, which it repopulates by replaying the
 //      same batches through the same seeded reservoir).
@@ -36,7 +37,6 @@
 #include "src/data/domain.h"
 #include "src/durability/wal.h"
 #include "src/est/estimator_factory.h"
-#include "src/util/retry.h"
 
 namespace selest {
 
@@ -56,18 +56,12 @@ StatusOr<SnapshotMark> DecodeSnapshotMark(std::span<const uint8_t> payload);
 std::vector<uint8_t> EncodeRowBatch(std::span<const double> rows);
 StatusOr<std::vector<double>> DecodeRowBatch(std::span<const uint8_t> payload);
 
-struct RecoveryOptions {
-  // Wraps the snapshot load; only transient errors retry, corruption
-  // falls through to full replay immediately.
-  RetryOptions retry;
-};
-
 struct RecoveredColumn {
   // The recovered mergeable accumulator; null when the estimator kind
   // does not merge (the caller rebuilds from the replayed reservoir).
   std::unique_ptr<SelectivityEstimator> accumulator;
   // The registration row set and every durable ingest batch after it, in
-  // ingest order — the replay source for reservoir and online state.
+  // ingest order — the replay source for the reservoir.
   std::vector<double> registration_rows;
   std::vector<std::vector<double>> ingest_batches;
   uint64_t total_rows = 0;
@@ -84,9 +78,7 @@ class RecoveryManager {
  public:
   // `store` may be null (no durable snapshot tier): recovery is then
   // always a full replay.
-  explicit RecoveryManager(const SnapshotStore* store,
-                           RecoveryOptions options = {})
-      : store_(store), options_(options) {}
+  explicit RecoveryManager(const SnapshotStore* store) : store_(store) {}
 
   // Reconstructs the column keyed by `key` from `wal` (already opened,
   // torn tail truncated, bad segments quarantined). kNotFound when the
@@ -98,7 +90,6 @@ class RecoveryManager {
 
  private:
   const SnapshotStore* store_;
-  RecoveryOptions options_;
 };
 
 }  // namespace selest

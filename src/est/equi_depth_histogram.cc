@@ -69,21 +69,23 @@ std::string EquiDepthHistogram::name() const {
   return "equi-depth(" + std::to_string(num_bins()) + ")";
 }
 
-Status EquiDepthHistogram::MergeFrom(const SelectivityEstimator& other) {
-  const auto* peer = dynamic_cast<const EquiDepthHistogram*>(&other);
-  if (peer == nullptr) {
-    return FailedPreconditionError("cannot merge " + other.name() +
-                                   " into an equi-depth histogram");
-  }
+Status EquiDepthHistogram::FoldRows(std::span<const double> rows) {
+  if (rows.empty()) return Status::Ok();
   const AlignedDoubles& a_edges = bins_.edges();
-  const AlignedDoubles& b_edges = peer->bins_.edges();
-  if (a_edges.front() != b_edges.front() || a_edges.back() != b_edges.back()) {
+  Domain domain;
+  domain.lo = a_edges.front();
+  domain.hi = a_edges.back();
+  SELEST_ASSIGN_OR_RETURN(const EquiDepthHistogram delta,
+                          Create(rows, domain, num_bins()));
+  const BinnedDensity& delta_bins = delta.bins_;
+  const AlignedDoubles& b_edges = delta_bins.edges();
+  if (a_edges.back() != b_edges.back()) {
     return FailedPreconditionError(
-        "equi-depth merge requires histograms over the same domain");
+        "equi-depth fold needs rows inside the histogram's domain");
   }
 
   // Union edge grid with the combined cumulative mass at each edge: the
-  // merged CDF is exact at union edges and linearly interpolated between
+  // folded CDF is exact at union edges and linearly interpolated between
   // them, which is where the bounded drift comes from.
   std::vector<double> grid;
   grid.reserve(a_edges.size() + b_edges.size());
@@ -92,10 +94,9 @@ Status EquiDepthHistogram::MergeFrom(const SelectivityEstimator& other) {
   grid.erase(std::unique(grid.begin(), grid.end()), grid.end());
   std::vector<double> cumulative(grid.size());
   for (size_t i = 0; i < grid.size(); ++i) {
-    cumulative[i] =
-        bins_.MassBelow(grid[i]) + peer->bins_.MassBelow(grid[i]);
+    cumulative[i] = bins_.MassBelow(grid[i]) + delta_bins.MassBelow(grid[i]);
   }
-  const double total = bins_.total_count() + peer->bins_.total_count();
+  const double total = bins_.total_count() + delta_bins.total_count();
 
   // Re-place this histogram's bin count at the combined quantiles.
   const size_t k = bins_.num_bins();
@@ -121,21 +122,9 @@ Status EquiDepthHistogram::MergeFrom(const SelectivityEstimator& other) {
   }
   edges.push_back(std::max(grid.back(), edges.back()));
 
-  auto merged = BinnedDensity::Create(std::move(edges), std::move(counts),
-                                      total);
-  if (!merged.ok()) return merged.status();
-  bins_ = std::move(merged).value();
+  SELEST_ASSIGN_OR_RETURN(
+      bins_, BinnedDensity::Create(std::move(edges), std::move(counts), total));
   return Status::Ok();
-}
-
-Status EquiDepthHistogram::FoldRows(std::span<const double> rows) {
-  if (rows.empty()) return Status::Ok();
-  Domain domain;
-  domain.lo = bins_.edges().front();
-  domain.hi = bins_.edges().back();
-  auto delta = Create(rows, domain, num_bins());
-  if (!delta.ok()) return delta.status();
-  return MergeFrom(delta.value());
 }
 
 Status EquiDepthHistogram::SerializeState(ByteWriter& writer) const {

@@ -37,16 +37,14 @@ class EquiDepthHistogram : public SelectivityEstimator {
   static StatusOr<EquiDepthHistogram> DeserializeState(ByteReader& reader);
 
   // Approximate incremental maintenance. Equi-depth edges are sample
-  // quantiles, so two histograms cannot merge exactly; MergeFrom combines
-  // the two piecewise-linear CDFs over the union of their edges and
-  // re-places this histogram's bin count at the combined quantiles. The
-  // drift against Build(A ∪ B) is bounded by the quantile interpolation
-  // error within one union segment (property-tested as bounded MRE drift).
-  // Both operands must cover the same domain (identical outer edges).
+  // quantiles, so new rows cannot be bucketed exactly: FoldRows builds an
+  // equi-depth histogram over the rows (same domain and bin count),
+  // combines the two piecewise-linear CDFs over the union of their edges
+  // and re-places this histogram's bin count at the combined quantiles.
+  // The drift against Build(A ∪ B) is bounded by the quantile
+  // interpolation error within one union segment (property-tested as
+  // bounded MRE drift). Empty spans are the identity.
   bool SupportsMerge() const override { return true; }
-  Status MergeFrom(const SelectivityEstimator& other) override;
-  // Folds rows by building an equi-depth histogram over them (same domain
-  // and bin count) and merging it in. Empty spans are the identity.
   Status FoldRows(std::span<const double> rows) override;
 
  private:

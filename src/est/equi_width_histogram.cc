@@ -49,18 +49,6 @@ std::string EquiWidthHistogram::name() const {
   return "equi-width(" + std::to_string(num_bins()) + ")";
 }
 
-Status EquiWidthHistogram::MergeFrom(const SelectivityEstimator& other) {
-  const auto* peer = dynamic_cast<const EquiWidthHistogram*>(&other);
-  if (peer == nullptr) {
-    return FailedPreconditionError("cannot merge " + other.name() +
-                                   " into an equi-width histogram");
-  }
-  auto merged = bins_.MergedWith(peer->bins_);
-  if (!merged.ok()) return merged.status();
-  bins_ = std::move(merged).value();
-  return Status::Ok();
-}
-
 Status EquiWidthHistogram::FoldRows(std::span<const double> rows) {
   bins_ = bins_.FoldedWith(rows);
   return Status::Ok();

@@ -41,11 +41,9 @@ class EquiWidthHistogram : public SelectivityEstimator {
   static StatusOr<EquiWidthHistogram> DeserializeState(ByteReader& reader);
 
   // Exact incremental maintenance: bin edges are fixed by (domain, bin
-  // count), so adding another histogram's counts or bucketing new rows in
-  // place reproduces Build(A ∪ B) bit for bit. MergeFrom requires the same
-  // concrete type and identical edges (kFailedPrecondition otherwise).
+  // count), so bucketing new rows in place reproduces Build(A ∪ B) bit for
+  // bit.
   bool SupportsMerge() const override { return true; }
-  Status MergeFrom(const SelectivityEstimator& other) override;
   Status FoldRows(std::span<const double> rows) override;
 
  private:

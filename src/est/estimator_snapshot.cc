@@ -226,4 +226,11 @@ StatusOr<std::unique_ptr<SelectivityEstimator>> LoadEstimatorSnapshot(
   return estimator;
 }
 
+StatusOr<std::unique_ptr<SelectivityEstimator>> CloneEstimator(
+    const SelectivityEstimator& estimator) {
+  SELEST_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
+                          SnapshotEstimator(estimator));
+  return LoadEstimatorSnapshot(bytes);
+}
+
 }  // namespace selest

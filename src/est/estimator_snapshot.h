@@ -77,6 +77,12 @@ StatusOr<std::vector<uint8_t>> SnapshotEstimator(
 StatusOr<std::unique_ptr<SelectivityEstimator>> LoadEstimatorSnapshot(
     std::span<const uint8_t> bytes);
 
+// A private mutable copy of `estimator` through a snapshot round-trip: it
+// answers bit-identically and folds or observes exactly like the original.
+// kFailedPrecondition when the estimator does not snapshot.
+StatusOr<std::unique_ptr<SelectivityEstimator>> CloneEstimator(
+    const SelectivityEstimator& estimator);
+
 }  // namespace selest
 
 #endif  // SELEST_EST_ESTIMATOR_SNAPSHOT_H_

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <iterator>
 #include <utility>
 
 #include "src/est/estimator_snapshot.h"
@@ -50,20 +49,6 @@ void SamplingEstimator::EstimateSelectivityBatch(
 
 size_t SamplingEstimator::StorageBytes() const {
   return sizeof(double) * sorted_.size();
-}
-
-Status SamplingEstimator::MergeFrom(const SelectivityEstimator& other) {
-  const auto* peer = dynamic_cast<const SamplingEstimator*>(&other);
-  if (peer == nullptr) {
-    return FailedPreconditionError("cannot merge " + other.name() +
-                                   " into a sampling estimator");
-  }
-  AlignedDoubles merged;
-  merged.reserve(sorted_.size() + peer->sorted_.size());
-  std::merge(sorted_.begin(), sorted_.end(), peer->sorted_.begin(),
-             peer->sorted_.end(), std::back_inserter(merged));
-  sorted_ = std::move(merged);
-  return Status::Ok();
 }
 
 Status SamplingEstimator::FoldRows(std::span<const double> rows) {

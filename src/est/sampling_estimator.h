@@ -34,10 +34,10 @@ class SamplingEstimator : public SelectivityEstimator {
   static StatusOr<SamplingEstimator> DeserializeState(ByteReader& reader);
 
   // Exact incremental maintenance: the state is the sorted sample itself,
-  // so merging another instance (or folding raw rows) in sorted order
-  // reproduces Build(A ∪ B) bit for bit.
+  // so merging folded rows in sorted order reproduces Build(A ∪ B) bit for
+  // bit. The state keeps every folded row: a live sampling column grows
+  // with its ingest (DESIGN.md §10).
   bool SupportsMerge() const override { return true; }
-  Status MergeFrom(const SelectivityEstimator& other) override;
   Status FoldRows(std::span<const double> rows) override;
 
  private:

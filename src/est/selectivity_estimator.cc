@@ -9,11 +9,6 @@ Status SelectivityEstimator::SerializeState(ByteWriter& /*writer*/) const {
                                  "\" does not support snapshots");
 }
 
-Status SelectivityEstimator::MergeFrom(const SelectivityEstimator& /*other*/) {
-  return FailedPreconditionError("estimator \"" + name() +
-                                 "\" does not support merging");
-}
-
 Status SelectivityEstimator::FoldRows(std::span<const double> /*rows*/) {
   return FailedPreconditionError("estimator \"" + name() +
                                  "\" does not support incremental folds");

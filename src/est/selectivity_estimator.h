@@ -94,27 +94,27 @@ class SelectivityEstimator {
 
   // --- Incremental maintenance (the live-server ingest contract) ---
   //
-  // A *mergeable* estimator can absorb new rows without a full rebuild:
-  // MergeFrom folds another built instance of the same type into this one,
-  // FoldRows folds raw attribute values directly. The union law bounds the
-  // drift: Build(A ∪ B) and Merge(Build(A), Build(B)) agree exactly for
-  // count-based sketches (equi-width bins, sorted samples) and within a
-  // bounded quantile-interpolation error for equi-depth histograms (see
-  // DESIGN.md §10 and the est_merge_property_test suite).
+  // A *mergeable* estimator folds raw attribute values into its state
+  // without a full rebuild. The union law bounds the drift: FoldRows(B)
+  // on Build(A) equals Build(A ∪ B) exactly for count-based sketches
+  // (equi-width bins, sorted samples) and within a bounded
+  // quantile-interpolation error for equi-depth histograms; folding an
+  // empty span is the identity (DESIGN.md §10 and the
+  // est_merge_property_test suite). Every other kind follows new rows
+  // through a uniform reservoir and rebuilds (sample/sampler.h).
   //
-  // Mutators are NOT part of the const thread-safety contract above: the
-  // live server only ever mutates its private ingest-side accumulator and
-  // publishes immutable clones to readers. Defaults: not mergeable /
+  // FoldRows is NOT part of the const thread-safety contract above: the
+  // live server only ever folds into its private ingest-side accumulator
+  // and publishes immutable clones to readers. Defaults: not mergeable /
   // kFailedPrecondition.
   virtual bool SupportsMerge() const { return false; }
-  virtual Status MergeFrom(const SelectivityEstimator& other);
   virtual Status FoldRows(std::span<const double> rows);
 
   // --- Query feedback (the query-driven estimation contract, DESIGN.md §14) -
   //
   // A *query-driven* estimator can refine itself from execution feedback:
   // ObserveTrueSelectivity folds one (range, true-selectivity) observation
-  // into the estimator's state. Like the merge contract above, observation
+  // into the estimator's state. Like FoldRows above, observation
   // is a mutator and NOT part of the const thread-safety contract — the
   // catalog's write-back path (catalog/statistics_catalog) observes on a
   // private clone and publishes it atomically, so concurrent readers keep

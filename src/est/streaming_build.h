@@ -8,11 +8,14 @@
 //     pass at all beyond the source's declared row count.
 //   * kOnePassFold — equi-width: the bin edges are fixed by
 //     (domain, bin count), so the counts are folded chunk by chunk over
-//     ALL rows (FoldRows is exact, PR 6), giving an estimator built from
-//     the full column at one chunk of resident memory. A data-dependent
-//     smoothing rule (h-NS, h-DPI) resolves the bin count from the
-//     reservoir sample first, which costs one extra sampling pass; with
-//     SmoothingRule::kFixed the build is a single pass.
+//     ALL rows (FoldRows is exact), giving an estimator built from the
+//     full column at one chunk of resident memory. Only equi-width folds
+//     here: the chunk-invariance contract below needs an exact fold (the
+//     equi-depth fold drifts with the chunk boundaries), and a sampling
+//     fold would hold every row. A data-dependent smoothing rule (h-NS,
+//     h-DPI) resolves the bin count from the reservoir sample first,
+//     which costs one extra sampling pass; with SmoothingRule::kFixed the
+//     build is a single pass.
 //   * kReservoirSample — every other kind (sampling, equi-depth,
 //     max-diff, ash, kernel, hybrid, v-optimal, adaptive-kernel,
 //     wavelet): one sequential pass fills a DecayingReservoir and the

@@ -109,37 +109,4 @@ void DecayingReservoir::AddBatch(std::span<const double> values) {
   for (double v : values) Add(v);
 }
 
-Status DecayingReservoir::MergeFrom(const DecayingReservoir& other) {
-  if (other.capacity_ != capacity_) {
-    return InvalidArgumentError(
-        "cannot merge reservoirs of different capacities");
-  }
-  if (other.items_seen_ == 0) return Status::Ok();
-  if (items_seen_ == 0) {
-    values_ = other.values_;
-    items_seen_ = other.items_seen_;
-    return Status::Ok();
-  }
-  // Underfull reservoirs hold their streams verbatim; concatenating and
-  // replaying preserves exactness when the union still fits.
-  if (values_.size() < capacity_ || other.values_.size() < other.capacity_) {
-    const std::vector<double> peer(other.values_.begin(),
-                                   other.values_.end());
-    const uint64_t peer_seen = other.items_seen_;
-    AddBatch(peer);
-    items_seen_ += peer_seen - peer.size();  // count unseen evicted items
-    return Status::Ok();
-  }
-  // Both full: keep each slot from `this` or take the peer's slot with
-  // probability proportional to the peer's stream share.
-  const double peer_share =
-      static_cast<double>(other.items_seen_) /
-      static_cast<double>(items_seen_ + other.items_seen_);
-  for (size_t i = 0; i < values_.size(); ++i) {
-    if (rng_.NextDouble() < peer_share) values_[i] = other.values_[i];
-  }
-  items_seen_ += other.items_seen_;
-  return Status::Ok();
-}
-
 }  // namespace selest

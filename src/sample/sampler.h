@@ -46,8 +46,10 @@ StatusOr<std::vector<double>> TryBernoulliSample(
 std::vector<double> BernoulliSample(std::span<const double> population,
                                     double rate, Rng& rng);
 
-// A fixed-capacity sample of an unbounded stream, the live-server ingest
-// substrate feeding the sampling/kernel estimators across rebuilds.
+// A fixed-capacity sample of an unbounded stream: the live server's
+// ingest-side sample of every column, which rebuilds the kinds that cannot
+// fold rows and answers OnlineEstimate, and the streaming build's sample
+// of every kind but equi-width (est/streaming_build.h).
 //
 // With decay == 0 this is exactly Algorithm R: after t items every item is
 // resident with probability capacity/t (uniform over the whole stream).
@@ -71,13 +73,6 @@ class DecayingReservoir {
   double decay() const { return decay_; }
   // Stream length observed so far.
   uint64_t items_seen() const { return items_seen_; }
-
-  // Folds `other` in as if its stream had been appended to this one: the
-  // result holds each slot from this reservoir or a replacement drawn from
-  // `other`, with replacement probability other.items_seen() / combined
-  // items_seen (uniform case), so the merged reservoir approximates a
-  // sample of the concatenated streams. Requires equal capacities.
-  Status MergeFrom(const DecayingReservoir& other);
 
  private:
   size_t capacity_;

@@ -1,7 +1,8 @@
 // The recovery manager: WAL replay → pre-crash column state. Covers the
 // full-replay path, the snapshot fast path proven by the mark's CRC, the
 // unproven-mark degradation (crash between snapshot Put and mark append),
-// the non-mergeable contract, and the record codecs.
+// a mark whose snapshot file is missing, the non-mergeable contract, and
+// the record codecs.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -199,6 +200,34 @@ TEST_F(RecoveryTest, UnprovenMarkDegradesToFullReplay) {
   auto recovered = manager.Recover(key, *wal, kDomain, config);
   ASSERT_TRUE(recovered.ok());
   EXPECT_FALSE(recovered.value().used_snapshot);
+  ASSERT_NE(recovered.value().accumulator, nullptr);
+  EXPECT_EQ(SnapshotBytes(*recovered.value().accumulator),
+            SnapshotBytes(*Reference(config)));
+}
+
+TEST_F(RecoveryTest, MarkWithMissingSnapshotFileDegradesToFullReplay) {
+  const EstimatorConfig config = ConfigFor(EstimatorKind::kEquiWidth, 16);
+  const CatalogKey key{"t", "x", FingerprintConfig(config)};
+  SnapshotStore store(FreshDir("recovery_missing_store"));
+  auto wal = MakeLog(FreshDir("recovery_missing_wal"));
+
+  // A mark whose snapshot file is gone: the read fails, which forfeits
+  // only the fast path — full replay recovers the same bits.
+  auto covered = BuildEstimator(reg_, kDomain, config);
+  ASSERT_TRUE(covered.ok());
+  ASSERT_TRUE(covered.value()->FoldRows(batch1_).ok());
+  uint32_t crc = 0;
+  ASSERT_TRUE(store.Put(key, *covered.value(), &crc).ok());
+  ASSERT_TRUE(
+      wal->Append(WalRecordType::kSnapshotMark, EncodeSnapshotMark(2, 2, crc))
+          .ok());
+  ASSERT_TRUE(std::filesystem::remove(store.PathFor(key)));
+
+  const RecoveryManager manager(&store);
+  auto recovered = manager.Recover(key, *wal, kDomain, config);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_FALSE(recovered.value().used_snapshot);
+  EXPECT_EQ(recovered.value().last_generation, 2u);
   ASSERT_NE(recovered.value().accumulator, nullptr);
   EXPECT_EQ(SnapshotBytes(*recovered.value().accumulator),
             SnapshotBytes(*Reference(config)));

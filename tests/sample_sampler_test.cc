@@ -195,61 +195,5 @@ TEST(DecayingReservoirTest, DecayBiasesTowardRecentItems) {
   EXPECT_GT(decayed_sum, uniform_sum);
 }
 
-TEST(DecayingReservoirTest, MergeOfUnderfullReservoirsIsExactUnion) {
-  DecayingReservoir a(64, 0.0, 1);
-  DecayingReservoir b(64, 0.0, 2);
-  a.AddBatch(Iota(20));
-  b.AddBatch(Iota(10));
-  ASSERT_TRUE(a.MergeFrom(b).ok());
-  EXPECT_EQ(a.size(), 30u);
-  EXPECT_EQ(a.items_seen(), 30u);
-  std::vector<double> merged(a.values().begin(), a.values().end());
-  std::vector<double> expected = Iota(20);
-  const auto tail = Iota(10);
-  expected.insert(expected.end(), tail.begin(), tail.end());
-  std::sort(merged.begin(), merged.end());
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(merged, expected);
-}
-
-TEST(DecayingReservoirTest, MergeIdentitiesAndErrors) {
-  DecayingReservoir a(8, 0.0, 1);
-  a.AddBatch(Iota(5));
-  DecayingReservoir empty(8, 0.0, 2);
-  // Merging an empty peer changes nothing.
-  ASSERT_TRUE(a.MergeFrom(empty).ok());
-  EXPECT_EQ(a.size(), 5u);
-  EXPECT_EQ(a.items_seen(), 5u);
-  // Merging into an empty reservoir copies the peer.
-  DecayingReservoir into_empty(8, 0.0, 3);
-  ASSERT_TRUE(into_empty.MergeFrom(a).ok());
-  EXPECT_EQ(into_empty.size(), 5u);
-  EXPECT_EQ(into_empty.items_seen(), 5u);
-  // Capacities must match.
-  DecayingReservoir wrong_capacity(4, 0.0, 4);
-  EXPECT_EQ(a.MergeFrom(wrong_capacity).code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(DecayingReservoirTest, MergeOfFullReservoirsTracksStreamWeights) {
-  // Both reservoirs full: items_seen adds up, the result stays at
-  // capacity, and each slot comes from one of the two inputs.
-  DecayingReservoir a(32, 0.0, 1);
-  DecayingReservoir b(32, 0.0, 2);
-  a.AddBatch(Iota(500));
-  std::vector<double> high(500);
-  for (size_t i = 0; i < high.size(); ++i) {
-    high[i] = 1000.0 + static_cast<double>(i);
-  }
-  b.AddBatch(high);
-  ASSERT_TRUE(a.MergeFrom(b).ok());
-  EXPECT_EQ(a.size(), 32u);
-  EXPECT_EQ(a.items_seen(), 1000u);
-  std::vector<double> population = Iota(500);
-  population.insert(population.end(), high.begin(), high.end());
-  EXPECT_TRUE(IsSubMultiset({a.values().begin(), a.values().end()},
-                            population));
-}
-
 }  // namespace
 }  // namespace selest

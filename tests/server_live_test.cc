@@ -17,7 +17,9 @@
 #include "src/data/dataset.h"
 #include "src/data/io.h"
 #include "src/eval/parallel_experiment.h"
+#include "src/online/online_estimator.h"
 #include "src/query/workload.h"
+#include "src/sample/sampler.h"
 #include "src/util/random.h"
 
 namespace selest {
@@ -283,19 +285,62 @@ TEST(LiveServerTest, IngestFromFileFoldsTheDataset) {
   EXPECT_EQ(stats.value().ingested_rows, rows.size());
 }
 
+void ExpectSameInterval(const IntervalEstimate& a, const IntervalEstimate& b) {
+  EXPECT_EQ(a.estimate, b.estimate);
+  EXPECT_EQ(a.lo, b.lo);
+  EXPECT_EQ(a.hi, b.hi);
+  EXPECT_EQ(a.samples, b.samples);
+}
+
 TEST(LiveServerTest, OnlineEstimateCoversIngestedRows) {
   LiveStatisticsServer server(InlineOptions());
+  const std::vector<double> registration = MakeRows(200, 16);
+  const std::vector<double> ingested = MakeRows(300, 17);
   ASSERT_TRUE(server
                   .RegisterColumn("t", "x", kDomain,
                                   ConfigWithBins(EstimatorKind::kEquiWidth, 8),
-                                  MakeRows(200, 16))
+                                  registration)
                   .ok());
-  ASSERT_TRUE(server.Ingest("t", "x", MakeRows(300, 17)).ok());
-  auto interval = server.OnlineEstimate("t", "x", {100.0, 900.0});
+  ASSERT_TRUE(server.Ingest("t", "x", ingested).ok());
+  const RangeQuery query{100.0, 900.0};
+  auto interval = server.OnlineEstimate("t", "x", query);
   ASSERT_TRUE(interval.ok());
   EXPECT_EQ(interval.value().samples, 500u);  // registration + ingested
   EXPECT_LE(interval.value().lo, interval.value().estimate);
   EXPECT_GE(interval.value().hi, interval.value().estimate);
+  // Within the reservoir's capacity the estimate covers every row: bit for
+  // bit the estimate of an estimator fed all 500 rows directly.
+  OnlineSelectivityEstimator direct(kDomain);
+  direct.AddSamples(registration);
+  direct.AddSamples(ingested);
+  ExpectSameInterval(interval.value(), direct.Estimate(query));
+}
+
+TEST(LiveServerTest, OnlineEstimateIsTakenOverTheBoundedReservoir) {
+  LiveServerOptions options = InlineOptions();
+  options.reservoir_capacity = 64;
+  LiveStatisticsServer server(options);
+  const EstimatorConfig config = ConfigWithBins(EstimatorKind::kEquiWidth, 8);
+  const std::vector<double> registration = MakeRows(100, 30);
+  const std::vector<double> ingested = MakeRows(1000, 31);
+  ASSERT_TRUE(
+      server.RegisterColumn("t", "x", kDomain, config, registration).ok());
+  ASSERT_TRUE(server.Ingest("t", "x", ingested).ok());
+  const RangeQuery query{150.0, 700.0};
+  auto interval = server.OnlineEstimate("t", "x", query);
+  ASSERT_TRUE(interval.ok());
+  EXPECT_EQ(interval.value().samples, 64u);
+
+  // The column's reservoir is seeded with seed ^ fingerprint and sees the
+  // same 1,100 rows in the same order.
+  DecayingReservoir reservoir(
+      options.reservoir_capacity, options.reservoir_decay,
+      options.seed ^ FingerprintConfig(config));
+  reservoir.AddBatch(registration);
+  reservoir.AddBatch(ingested);
+  OnlineSelectivityEstimator expected(kDomain);
+  expected.AddSamples(reservoir.values());
+  ExpectSameInterval(interval.value(), expected.Estimate(query));
 }
 
 TEST(LiveServerTest, GenerationHistoryRequiresOptIn) {
