@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "src/data/domain.h"
+#include "src/est/equi_depth_histogram.h"
 #include "src/est/equi_width_histogram.h"
 #include "src/est/estimator_factory.h"
 #include "src/est/guarded_estimator.h"
@@ -187,6 +188,30 @@ void BM_EquiWidthHistogram(benchmark::State& state) {
 }
 BENCHMARK(BM_EquiWidthHistogram)->Range(8, 8 << 10);
 
+// Equi-depth on a skewed sample (u³ spread over the domain): its quantile
+// edges are far from a uniform grid, so its bins are located through the
+// guide table rather than the equi-width arithmetic (DESIGN.md §12).
+void BM_EquiDepthHistogram(benchmark::State& state) {
+  std::vector<double> sample = MakeSample(2000);
+  for (double& x : sample) {
+    const double u = x / kDomain.width();
+    x = kDomain.width() * u * u * u;
+  }
+  auto est = EquiDepthHistogram::Create(sample, kDomain,
+                                        static_cast<int>(state.range(0)));
+  if (!est.ok()) {
+    std::fprintf(stderr, "equi-depth build failed: %s\n",
+                 est.status().ToString().c_str());
+    std::exit(1);
+  }
+  Rng rng(4);
+  for (auto _ : state) {
+    const RangeQuery q = NextQuery(rng);
+    benchmark::DoNotOptimize(est->EstimateSelectivity(q.a, q.b));
+  }
+}
+BENCHMARK(BM_EquiDepthHistogram)->Range(8, 8 << 10);
+
 // --- Guarded-vs-raw overhead on the kernel hot path ---
 //
 // Per healthy query the guard adds one relaxed counter increment, two NaN
@@ -340,11 +365,11 @@ constexpr size_t kBatchSampleSize = 1 << 16;
 constexpr size_t kBatchQueries = 4096;
 
 // Two bin-count regimes: tens of bins is the paper's own configuration
-// (h-NS on small samples; 1% queries touch 1–2 bins, so the vectorized
-// edge search dominates), while 1024 bins makes every query walk ~11 bins
-// — a per-bin accumulation whose summation order the bit-identity contract
-// pins, so the walk cannot be collapsed into prefix-sum lookups and the
-// vector win is structurally smaller there.
+// (h-NS on small samples; 1% queries touch 1–2 bins), while 1024 bins
+// spans ~11 bins a query. Both answer from the two partial bins and one
+// running-count difference (DESIGN.md §12), so the cost does not grow
+// with the bins spanned; `speedup_vs_prepr` is measured against a replica
+// of the seed's per-bin walk.
 void BM_BatchEquiWidth(benchmark::State& state) {
   static auto* cache = new std::map<int64_t, const EquiWidthHistogram*>();
   const EquiWidthHistogram*& slot = (*cache)[state.range(1)];
@@ -588,7 +613,8 @@ BENCHMARK(BM_Fig12SweepWallClock)
 // unless the caller already chose a report destination, results also land
 // in BENCH_estimators.json so every run leaves a machine-readable artifact
 // that tools/bench_diff.py can compare against a previous build's file.
-// The host's detected SIMD tier is recorded in the JSON context block.
+// The host's detected SIMD tier and selest's build type are recorded in
+// the JSON context block.
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
   bool has_out = false;
@@ -603,6 +629,7 @@ int main(int argc, char** argv) {
   }
   benchmark::AddCustomContext("simd_tier",
                               selest::SimdTierName(selest::ActiveSimdTier()));
+  benchmark::AddCustomContext("selest_build_type", SELEST_BUILD_TYPE);
   int arg_count = static_cast<int>(args.size());
   benchmark::Initialize(&arg_count, args.data());
   if (benchmark::ReportUnrecognizedArguments(arg_count, args.data())) return 1;

@@ -65,8 +65,9 @@ StatusOr<BinnedDensity> ReadBinnedDensity(ByteReader& reader) {
   SELEST_ASSIGN_OR_RETURN(std::vector<double> counts,
                           reader.ReadDoubleVector());
   SELEST_ASSIGN_OR_RETURN(const double total_count, reader.ReadDouble());
-  // BinnedDensity::Create re-validates the histogram invariants (edge
-  // monotonicity, count shape, positive total), so a corrupted payload that
+  // BinnedDensity::Create re-validates the histogram invariants (finite,
+  // non-decreasing edges, finite non-negative counts with a finite sum,
+  // count shape, positive finite total), so a corrupted payload that
   // survives the CRC still cannot build an inconsistent histogram.
   return BinnedDensity::Create(std::move(edges), std::move(counts),
                                total_count);

@@ -33,6 +33,14 @@ struct ParallelExecOptions {
   // 1 → fully serial, no pool involvement (the serial fallback);
   // N → a dedicated pool of N workers for this call (used by the
   //     determinism tests and the speedup benchmark).
+  // Each call starts and joins its own dedicated pool, so
+  // RunSweep(setup, BuildEstimators(setup, configs, options), options)
+  // pays that twice: a median 22–41 µs (2 workers), 78–87 µs (4) or
+  // 0.2–0.53 ms (8) per start+join over two runs on a shared 4-core
+  // x86-64 host, against a 46–65 ms Fig. 12 sweep
+  // (BM_Fig12SweepWallClock). Sharing one pool would need a pool handle in
+  // these options; callers sweeping many small setups use threads = 0,
+  // whose shared pool costs nothing per call.
   size_t threads = 0;
 };
 

@@ -127,6 +127,21 @@ inline size_t BranchFreeUpperBound(const double* data, size_t n, double key) {
 // Widest tier; block staging buffers are sized for it.
 inline constexpr int kMaxSimdWidth = 8;
 
+// What histogram_block reads of a BinnedDensity: the k+1 edges, the k
+// counts, their k+1 running sums (cumulative[i] = counts[0] + … +
+// counts[i−1], summed left to right) and, when grid_inv_width > 0, the
+// uniform grid whose cell (x − grid_origin) · grid_inv_width guesses the
+// bin of x.
+struct HistogramView {
+  const double* edges;
+  const double* counts;
+  const double* cumulative;
+  int64_t num_bins;
+  double total_count;
+  double grid_origin;
+  double grid_inv_width;
+};
+
 // One table per vector tier. The *_block functions process exactly
 // `width` queries (a/b/out are width-long, kSimdAlign-aligned); callers
 // pad the final partial block by replicating its last query — lanes are
@@ -134,12 +149,12 @@ inline constexpr int kMaxSimdWidth = 8;
 struct SimdOps {
   int width = 0;
 
-  // BinnedDensity::Selectivity for one block: vectorized edge search plus
-  // a masked bin walk accumulating in scalar bin order. Handles every
-  // input (atoms, inverted and out-of-range queries) — never bails.
-  void (*histogram_block)(const double* edges, const double* counts,
-                          int64_t num_bins, double total_count,
-                          const double* a, const double* b, double* out);
+  // BinnedDensity::Selectivity for one block: per lane, the same bin
+  // locate, the same two partial bins and the same cumulative difference,
+  // added in the same order. Handles every input (atoms, inverted and
+  // out-of-range queries) — never bails.
+  void (*histogram_block)(const HistogramView& histogram, const double* a,
+                          const double* b, double* out);
 
   // SamplingEstimator::EstimateSelectivity for one block: two vectorized
   // branch-free searches per lane.

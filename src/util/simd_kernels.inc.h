@@ -198,78 +198,90 @@ inline VecD EpanechnikovCdf(VecD t) {
 // histogram_block: BinnedDensity::Selectivity, one query per lane.
 // ---------------------------------------------------------------------------
 
-void HistogramBlock(const double* edges, const double* counts,
-                    int64_t num_bins, double total_count, const double* a,
-                    const double* b, double* out) {
+// BinnedDensity::Cell on a grid: ⌊(x − origin)·inv⌋ with the cell clamped to
+// [0, k − 1] (NaN to 0). AVX2 has no double→int64 convert, so the floor
+// is taken by the 2^52 trick: adding 2^52 rounds to the nearest integer,
+// and lanes where that rounded up step back by one.
+inline VecI GridCellV(const HistogramView& h, VecD x) {
+  VecD cell = (x - BroadcastD(h.grid_origin)) * BroadcastD(h.grid_inv_width);
+  const VecD zero = {};
+  cell = cell >= zero ? cell : zero;
+  const VecD top = BroadcastD(static_cast<double>(h.num_bins - 1));
+  cell = cell > top ? top : cell;
+  const VecD magic = BroadcastD(4503599627370496.0);  // 2^52
+  const VecD shifted = cell + magic;
+  const VecI nearest = (VecI)shifted - (VecI)magic;
+  return nearest + ((shifted - magic) > cell);  // true lanes are −1
+}
+
+// BinnedDensity::BinMass, lane for lane: the atom rule and
+// count · (overlap / width) with the `overlap <= 0` skip, as blends.
+inline VecD BinMassV(const HistogramView& h, VecI bin, VecD av, VecD bv) {
+  const VecD lo = Gather(h.edges, bin);
+  const VecD hi = Gather(h.edges, bin + 1);
+  const VecD cnt = Gather(h.counts, bin);
+  const VecD zero = {};
+  const VecD width = hi - lo;
+  const VecI atom_in = (lo >= av) & (lo <= bv);
+  const VecD atom_mass = atom_in ? cnt : zero;
+  const VecD mn = hi < bv ? hi : bv;  // std::min(b, hi)
+  const VecD mx = av < lo ? lo : av;  // std::max(a, lo)
+  const VecD overlap = mn - mx;
+  const VecD regular = cnt * (overlap / width);
+  const VecD regular_mass = overlap <= zero ? zero : regular;
+  return width <= zero ? atom_mass : regular_mass;
+}
+
+void HistogramBlock(const HistogramView& h, const double* a, const double* b,
+                    double* out) {
   const VecD av = LoadD(a);
   const VecD bv = LoadD(b);
-  const int64_t num_edges = num_bins + 1;
-
-  // Starting bin: lower_bound on the edges, stepped back one unless at the
-  // front (the scalar path's atom-at-`a` rule).
-  const VecI first = LowerBoundV(edges, num_edges, av);
+  const int64_t k = h.num_bins;
+  const double* e = h.edges;
   const VecI zero_i = {};
-  const VecI at_front = first == zero_i;
-  const VecI start = at_front ? zero_i : first - 1;
+  const VecI kv = BroadcastI(k);
 
-  const VecI nbins = BroadcastI(num_bins);
-  const VecI last_bin = BroadcastI(num_bins - 1);
-  const VecD zero = {};
-  VecD mass = zero;
-  // The walk visits consecutive bins, so each trip's high edge is the next
-  // trip's low edge: carry it across iterations instead of re-gathering.
-  // Exhausted lanes hold a stale clamped (ic, lo); their contributions are
-  // masked off below, so the stale values never reach `mass`.
-  VecI ic = ClampIndex(start, num_bins);
-  VecD lo = Gather(edges, ic);
-  for (int64_t j = 0;; ++j) {
-    const VecI i = start + j;
-    const VecI in_range = i < nbins;
-    const VecD hi = Gather(edges, ic + 1);
-    // The walk stops at the first bin past the query; edges ascend, so
-    // every lane's active mask is monotone and the loop ends when all
-    // lanes have passed their last overlapping bin.
-    const VecI active = in_range & (lo <= bv);
-    if (!AnyTrue(active)) break;
-    const VecD cnt = Gather(counts, ic);
-    const VecD width = hi - lo;
-    // Regular bin: count · overlap/width, added only when overlap > 0.
-    const VecI hi_first = hi < bv;
-    const VecD mn = hi_first ? hi : bv;  // std::min(b, hi)
-    const VecI lo_second = av < lo;
-    const VecD mx = lo_second ? lo : av;  // std::max(a, lo)
-    const VecD overlap = mn - mx;
-    // Atom bin (width <= 0): full count iff a <= lo <= b.
-    const VecI atom = width <= zero;
-    const VecI atom_in = (lo >= av) & (lo <= bv);
-    const VecD atom_contrib = atom_in ? cnt : zero;
-    // Interior bins of a multi-bin query are fully covered: overlap and
-    // width come from the same subtraction, and IEEE x/x == 1.0 exactly
-    // for finite nonzero x, so count · (overlap/width) is just the count.
-    // When every lane is covered, an atom, or inactive, skip the vector
-    // divide — the dominant walk cost — with a bit-identical result.
-    VecD regular_contrib;
-    const VecI full = overlap == width;
-    if (AllTrue(full | atom | ~active)) {
-      regular_contrib = cnt;
-    } else {
-      const VecD regular = cnt * (overlap / width);
-      // Matches the scalar `if (overlap <= 0.0) continue;` — NOT
-      // overlap > 0: a NaN bound makes the overlap NaN, which the scalar
-      // accumulates.
-      const VecI skip_bin = overlap <= zero;
-      regular_contrib = skip_bin ? zero : regular;
-    }
-    VecD contrib = atom ? atom_contrib : regular_contrib;
-    contrib = active ? contrib : zero;
-    mass += contrib;
-    const VecI step = ic < last_bin;
-    ic = step ? ic + 1 : ic;
-    lo = hi;  // stale for clamped lanes, which are inactive from here on
+  // Locate: `lower` is BranchFreeLowerBound(edges, a), `end` the number of
+  // leading edges <= b capped at k — BinnedDensity::Locate's span. On a
+  // grid each guess steps by its two comparisons (true lanes are −1).
+  VecI lower;
+  VecI end;
+  if (h.grid_inv_width > 0.0) {
+    const VecI ga = GridCellV(h, av);
+    lower = ga - (Gather(e, ga) < av) - (Gather(e, ga + 1) < av);
+    const VecI gb = GridCellV(h, bv);
+    end = gb - (Gather(e, gb) <= bv) - (Gather(e, gb + 1) <= bv);
+    end = end > kv ? kv : end;
+  } else {
+    lower = LowerBoundV(e, k + 1, av);
+    // UpperBoundV counts every edge for a NaN key; the scalar span of a
+    // NaN b is empty.
+    end = UpperBoundV(e, k, bv) & (bv == bv);
   }
+  const VecI first = lower == zero_i ? zero_i : lower - 1;
+  const VecI last = end - 1;
 
-  const VecD total = BroadcastD(total_count);
-  VecD result = Clamp01(mass / total);
+  // First bin + (cumulative[last] − cumulative[first + 1]) + last bin, in
+  // that order; lanes whose span is one bin add 0.0 twice, empty spans
+  // answer 0. A block of one-bin spans skips the last bin's and the
+  // running counts' gathers. Indices are clamped so idle lanes gather
+  // valid addresses.
+  const VecD zero = {};
+  const VecI first_c = ClampIndex(first, k);
+  const VecI multi = last > first;
+  VecD interior = zero;
+  VecD tail = zero;
+  if (AnyTrue(multi)) {
+    const VecI last_c = ClampIndex(last, k);
+    interior = Gather(h.cumulative, last_c) -
+               Gather(h.cumulative, first_c + 1);
+    interior = multi ? interior : zero;
+    tail = multi ? BinMassV(h, last_c, av, bv) : zero;
+  }
+  VecD mass = (BinMassV(h, first_c, av, bv) + interior) + tail;
+  mass = first < end ? mass : zero;
+
+  VecD result = Clamp01(mass / BroadcastD(h.total_count));
   const VecI inverted = av > bv;
   result = inverted ? zero : result;
   StoreD(out, result);

@@ -21,6 +21,7 @@
 #include "src/est/estimator_factory.h"
 #include "src/est/estimator_snapshot.h"
 #include "src/est/adaptive_kernel_estimator.h"
+#include "src/est/equi_width_histogram.h"
 #include "src/est/hybrid_estimator.h"
 #include "src/est/kernel_estimator.h"
 #include "src/est/sampling_estimator.h"
@@ -297,6 +298,24 @@ void WriteHybridPayload(ByteWriter& writer,
   WriteKernelPayload(writer, {0.05, 0.1, 0.3, 0.7});
 }
 
+// Equi-width over `edges`, one row per bin, bin width 0.5.
+void WriteEquiWidthEdgesPayload(ByteWriter& writer,
+                                const std::vector<double>& edges) {
+  writer.WriteDoubleVector(edges);
+  writer.WriteDoubleVector(std::vector<double>(edges.size() - 1, 1.0));
+  writer.WriteDouble(static_cast<double>(edges.size() - 1));
+  writer.WriteDouble(0.5);
+}
+
+// Equi-width over [0, 1] in two bins holding `counts`.
+void WriteEquiWidthCountsPayload(ByteWriter& writer,
+                                 const std::vector<double>& counts) {
+  writer.WriteDoubleVector(std::vector<double>{0.0, 0.5, 1.0});
+  writer.WriteDoubleVector(counts);
+  writer.WriteDouble(2.0);
+  writer.WriteDouble(0.5);
+}
+
 // `good` decodes (the control), and every array in `damaged` is
 // kInvalidArgument, directly and as a checksummed snapshot.
 template <typename Estimator>
@@ -364,6 +383,21 @@ TEST(CorruptSnapshotTest, NonFiniteHybridPartitionEdgesAreRejected) {
        {nan, 0.5, 1.0},
        {0.0, 0.5, inf},
        {-inf, 0.5, 1.0}});
+}
+
+// Every binned kind reads its histogram through ReadBinnedDensity, which
+// BinnedDensity::Create validates: a NaN edge passes the pairwise order
+// check, and a non-finite count would poison the derived running counts.
+TEST(CorruptSnapshotTest, NonFiniteHistogramEdgesAndCountsAreRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ExpectNonFiniteRejected<EquiWidthHistogram>(
+      EstimatorTag::kEquiWidth, WriteEquiWidthEdgesPayload, {0.0, 0.5, 1.0},
+      {{0.5, nan, 0.0, 1.0}, {nan, 0.5, 1.0}, {0.0, 0.5, inf},
+       {-inf, 0.5, 1.0}});
+  ExpectNonFiniteRejected<EquiWidthHistogram>(
+      EstimatorTag::kEquiWidth, WriteEquiWidthCountsPayload, {1.0, 1.0},
+      {{nan, 1.0}, {1.0, inf}, {1e308, 1e308}});
 }
 
 TEST(CorruptSnapshotTest, CatalogRebuildsThroughCorruptSnapshot) {
